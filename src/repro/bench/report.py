@@ -190,12 +190,13 @@ def format_service(rep) -> str:
         )
     lines.append(
         f"index cache: {rep.cache_hits} hits / {rep.cache_misses} misses "
-        f"(hit rate {rep.cache_hit_rate:.1%}); {rep.rebuilds} rebuilds, "
-        f"{rep.incremental_extensions} incremental extensions, "
-        f"{rep.evictions} evictions, {rep.noop_updates} no-op updates"
+        f"(hit rate {rep.cache_hit_rate:.1%}); {rep.evictions} evictions, "
+        f"{rep.noop_updates} no-op updates"
     )
     lines.append(
-        f"rebuild wall: {rep.rebuild_wall_s:.3f}s "
+        f"full builds: {rep.rebuilds} in {rep.rebuild_wall_s:.3f}s; catch-ups "
+        f"over a delta chain: {rep.rebuilds_incremental} patched / "
+        f"{rep.rebuilds_full} rebuilt "
         f"(mode={rep.rebuild_mode}, freshness={rep.freshness})"
     )
     if rep.rebuild_mode == "async":

@@ -28,6 +28,7 @@ from .core.blockcut import augment_to_biconnected
 from .graph import Graph, generators as gen
 from .graph.io import read_graph, write_graph
 from .runtime import BACKEND_NAMES
+from .service.engine import FRESHNESS_LEVELS, MAINTENANCE_MODES, REBUILD_MODES
 from .smp import e4500
 
 __all__ = ["main"]
@@ -348,6 +349,12 @@ def cmd_workload_gen(args) -> int:
     return 0
 
 
+def _staleness_budget(args) -> float | None:
+    """``--staleness-budget-ms``: a negative value means unbounded."""
+    budget = args.staleness_budget_ms
+    return None if budget < 0 else budget
+
+
 def cmd_workload_run(args) -> int:
     from .service import load_workload, run_workload
 
@@ -357,7 +364,6 @@ def cmd_workload_run(args) -> int:
         raise SystemExit(f"workload run: {exc}") from None
     graph = _read(args.graph) if args.graph else None
     machine = e4500(args.p) if args.p else None
-    budget = args.staleness_budget_ms
     try:
         rep = run_workload(
             wl,
@@ -368,7 +374,7 @@ def cmd_workload_run(args) -> int:
             verify=args.verify,
             rebuild_mode=args.rebuild_mode,
             coalesce_ms=args.coalesce_ms,
-            staleness_budget_ms=None if budget is not None and budget < 0 else budget,
+            staleness_budget_ms=_staleness_budget(args),
             freshness=args.freshness,
             maintenance=args.maintenance,
         )
@@ -396,9 +402,8 @@ def cmd_workload_run(args) -> int:
             print(f"  {op:22s} x{lat['count']:<6d} p50={lat['p50_us']:9.1f} "
                   f"p95={lat['p95_us']:9.1f} p99={lat['p99_us']:9.1f}{per_item}")
         print(f"cache: {rep.cache_hits} hits / {rep.cache_misses} misses "
-              f"(hit rate {rep.cache_hit_rate:.1%}); rebuilds={rep.rebuilds}, "
-              f"incremental={rep.incremental_extensions}, no-ops={rep.noop_updates}")
-        print(f"rebuild wall: {rep.rebuild_wall_s:.3f}s "
+              f"(hit rate {rep.cache_hit_rate:.1%}); no-ops={rep.noop_updates}")
+        print(f"full builds: {rep.rebuilds} in {rep.rebuild_wall_s:.3f}s "
               f"(mode={rep.rebuild_mode})")
         if rep.rebuilds_incremental or rep.rebuilds_full:
             by_strategy = ", ".join(
@@ -407,7 +412,7 @@ def cmd_workload_run(args) -> int:
             )
             print(f"maintenance={rep.maintenance}: "
                   f"{rep.rebuilds_incremental} incremental / "
-                  f"{rep.rebuilds_full} full rebuilds; wall by strategy: "
+                  f"{rep.rebuilds_full} full catch-ups; wall by strategy: "
                   f"{by_strategy or 'n/a'}")
         if rep.rebuild_errors:
             print(f"rebuild errors: {rep.rebuild_errors} "
@@ -527,9 +532,7 @@ def cmd_cluster_serve(args) -> int:
             tenant_batch_quota=args.tenant_batch_quota,
             rebuild_mode=args.rebuild_mode,
             coalesce_ms=args.coalesce_ms,
-            staleness_budget_ms=(
-                None if args.staleness_budget_ms < 0 else args.staleness_budget_ms
-            ),
+            staleness_budget_ms=_staleness_budget(args),
             maintenance=args.maintenance,
         )
     finally:
@@ -611,6 +614,27 @@ def main(argv=None) -> int:
     p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="tv-filter")
     p.set_defaults(fn=cmd_augment)
 
+    # engine maintenance flags, shared by every command that hosts engines
+    maint = argparse.ArgumentParser(add_help=False)
+    maint.add_argument("--maintenance", choices=MAINTENANCE_MODES, default="auto",
+                       help="catch-up strategy for pending deltas: the cost "
+                            "model's pick of incremental patch vs full "
+                            "rebuild (auto, default) or always rebuild from "
+                            "scratch (full)")
+    rebuild = argparse.ArgumentParser(add_help=False, parents=[maint])
+    rebuild.add_argument("--rebuild-mode", choices=REBUILD_MODES, default="sync",
+                         help="index maintenance: inline rebuilds on the query "
+                              "path (sync, default) or stale-while-revalidate "
+                              "background rebuilds with atomic snapshot swap "
+                              "(async; see docs/service.md)")
+    rebuild.add_argument("--coalesce-ms", type=float, default=0.0,
+                         help="async: window batching an update burst into "
+                              "one scheduled rebuild (default 0: rebuild per "
+                              "burst)")
+    rebuild.add_argument("--staleness-budget-ms", type=float, default=250.0,
+                         help="async: serve stale at most this long before "
+                              "forcing an inline rebuild (negative: unbounded)")
+
     p = sub.add_parser(
         "workload",
         help="generate or run biconnectivity query workloads (repro.service)",
@@ -652,7 +676,8 @@ def main(argv=None) -> int:
                          "(default 0: historical uniform sampling)")
     pg.set_defaults(fn=cmd_workload_gen)
 
-    pr = wsub.add_parser("run", help="execute a workload against the engine")
+    pr = wsub.add_parser("run", help="execute a workload against the engine",
+                         parents=[rebuild])
     pr.add_argument("workload", help="workload file produced by 'workload gen'")
     pr.add_argument("--graph", default=None,
                     help="graph file overriding the workload's graph spec")
@@ -666,25 +691,9 @@ def main(argv=None) -> int:
                          "(sequential Tarjan + fresh block-cut tree); async "
                          "runs verify in freshness=fresh mode unless "
                          "--freshness any is forced")
-    pr.add_argument("--rebuild-mode", choices=("sync", "async"), default="sync",
-                    help="index maintenance: inline rebuilds on the query "
-                         "path (sync, default) or stale-while-revalidate "
-                         "background rebuilds with atomic snapshot swap "
-                         "(async; see docs/service.md)")
-    pr.add_argument("--coalesce-ms", type=float, default=0.0,
-                    help="async: window batching an update burst into one "
-                         "scheduled rebuild (default 0: rebuild per burst)")
-    pr.add_argument("--staleness-budget-ms", type=float, default=250.0,
-                    help="async: serve stale at most this long before forcing "
-                         "an inline rebuild (negative: unbounded)")
-    pr.add_argument("--freshness", choices=("any", "fresh"), default=None,
+    pr.add_argument("--freshness", choices=FRESHNESS_LEVELS, default=None,
                     help="async query freshness (default: any; fresh blocks "
                          "for an exact index, bit-identical to sync)")
-    pr.add_argument("--maintenance", choices=("auto", "full"), default="auto",
-                    help="rebuild strategy when pending deltas qualify: pick "
-                         "the cheaper of incremental patch vs full rebuild "
-                         "per the cost model (auto, default) or always "
-                         "rebuild from scratch (full)")
     pr.add_argument("--json", action="store_true",
                     help="emit the full report as JSON")
     pr.set_defaults(fn=cmd_workload_run)
@@ -708,7 +717,8 @@ def main(argv=None) -> int:
         cp.add_argument("--cache-size", type=int, default=8,
                         help="per-shard LRU size of the index cache")
 
-    cr = csub.add_parser("run", help="seeded multi-client driver run")
+    cr = csub.add_parser("run", help="seeded multi-client driver run",
+                         parents=[maint])
     _cluster_common(cr)
     cr.add_argument("--clients", type=int, default=2,
                     help="concurrent driver clients, one graph/tenant each")
@@ -733,15 +743,12 @@ def main(argv=None) -> int:
     cr.add_argument("--trace", default=None, metavar="FILE",
                     help="write a chrome://tracing timeline (route/scatter/"
                          "gather spans plus per-shard tracks)")
-    cr.add_argument("--maintenance", choices=("auto", "full"), default="auto",
-                    help="per-shard rebuild strategy: cost-model choice of "
-                         "incremental patch vs full rebuild (auto, default) "
-                         "or always full")
     cr.add_argument("--json", action="store_true",
                     help="emit the full report as JSON")
     cr.set_defaults(fn=cmd_cluster_run)
 
-    cs = csub.add_parser("serve", help="JSON-lines request loop on stdin/stdout")
+    cs = csub.add_parser("serve", help="JSON-lines request loop on stdin/stdout",
+                         parents=[rebuild])
     _cluster_common(cs)
     cs.add_argument("--input", default=None,
                     help="read requests from this file instead of stdin")
@@ -749,20 +756,6 @@ def main(argv=None) -> int:
                     help="max resident graphs per tenant (LRU-evicted)")
     cs.add_argument("--tenant-batch-quota", type=int, default=None,
                     help="max query/update items per tenant per batch")
-    cs.add_argument("--rebuild-mode", choices=("sync", "async"), default="sync",
-                    help="per-shard index maintenance: rebuild inline (sync) "
-                         "or in the background, serving the last consistent "
-                         "snapshot meanwhile (async)")
-    cs.add_argument("--coalesce-ms", type=float, default=0.0,
-                    help="async: delay rebuilds this long so bursts of "
-                         "updates to one graph coalesce into one rebuild")
-    cs.add_argument("--staleness-budget-ms", type=float, default=250.0,
-                    help="async: force a synchronous rebuild once a served "
-                         "snapshot is older than this (negative: unbounded)")
-    cs.add_argument("--maintenance", choices=("auto", "full"), default="auto",
-                    help="per-shard rebuild strategy: cost-model choice of "
-                         "incremental patch vs full rebuild (auto, default) "
-                         "or always full")
     cs.set_defaults(fn=cmd_cluster_serve)
 
     args = parser.parse_args(argv)

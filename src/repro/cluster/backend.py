@@ -34,36 +34,34 @@ functions (``ProcessTeam`` pickles them by reference).
 from __future__ import annotations
 
 import time
+from dataclasses import fields
 
 import numpy as np
 
 from ..graph import Graph
-from ..service.engine import ServiceEngine
+from ..service.engine import EngineStats, ServiceEngine
 from .frames import answer_slots, decode_answer, encode_answer
 
 __all__ = ["ShardBackend", "InProcessBackend", "ProcessBackend", "make_backend", "STAT_FIELDS"]
 
-#: Engine counters a backend reports per shard, in buffer column order.
-#: All values must be int-safe (``max_staleness_ms`` is reported as whole
-#: milliseconds so it survives the processes backend's int64 stat buffer).
-STAT_FIELDS = (
-    "queries",
-    "updates",
-    "cache_hits",
-    "cache_misses",
-    "rebuilds",
-    "incremental_extensions",
-    "evictions",
-    "noop_updates",
-    "stale_hits",
-    "forced_syncs",
-    "rebuild_swaps",
-    "max_staleness_ms",
-    "rebuilds_incremental",
-    "rebuilds_full",
-    "delta_log_depth",
-    "rebuild_errors",
-)
+#: Engine counters a backend reports per shard: every whole-count
+#: :class:`~repro.service.engine.EngineStats` field, in declaration order.
+STAT_FIELDS = tuple(f.name for f in fields(EngineStats) if f.type in (int, "int"))
+
+#: Per-shard stat row columns: the counters plus the worst staleness, as
+#: whole milliseconds so it rides the processes backend's int64 buffer.
+_ROW_FIELDS = STAT_FIELDS + ("max_staleness_ms",)
+
+
+def _stat_row(engine: ServiceEngine) -> list:
+    stats = engine.stats
+    return [int(getattr(stats, field)) for field in _ROW_FIELDS]
+
+
+def _with_hit_rate(row: dict) -> dict:
+    total = row["cache_hits"] + row["cache_misses"]
+    row["cache_hit_rate"] = row["cache_hits"] / total if total else 0.0
+    return row
 
 
 class ShardBackend:
@@ -83,7 +81,8 @@ class ShardBackend:
         raise NotImplementedError
 
     def shard_stats(self) -> list:
-        """Per-shard engine counters (``STAT_FIELDS`` dicts)."""
+        """Per-shard engine counters (``STAT_FIELDS`` plus
+        ``max_staleness_ms`` and ``cache_hit_rate``)."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -153,12 +152,10 @@ class InProcessBackend(ShardBackend):
     def shard_stats(self) -> list:
         rows = []
         for engine in self.engines:
-            stats = engine.stats.as_dict()
-            row = {field: int(stats[field]) for field in STAT_FIELDS}
-            row["cache_hit_rate"] = stats["cache_hit_rate"]
-            # string-valued, so (like cache_hit_rate) only the serial
-            # backend reports it — it can't ride the int64 stat buffer
-            row["last_rebuild_error"] = stats["last_rebuild_error"]
+            row = _with_hit_rate(dict(zip(_ROW_FIELDS, _stat_row(engine))))
+            # string-valued, so only the serial backend reports it — it
+            # can't ride the int64 stat buffer
+            row["last_rebuild_error"] = engine.stats.last_rebuild_error
             rows.append(row)
         return rows
 
@@ -220,9 +217,7 @@ def _w_stats(rank, lo, hi, out):
         engine = _W_ENGINES.get(shard)
         if engine is None:
             continue
-        stats = engine.stats.as_dict()
-        for col, field in enumerate(STAT_FIELDS):
-            out[shard, col] = int(stats[field])
+        out[shard] = _stat_row(engine)
 
 
 def _w_close(rank, lo, hi):
@@ -304,19 +299,15 @@ class ProcessBackend(ShardBackend):
         return answers
 
     def shard_stats(self) -> list:
-        out = self.team.zeros((self.num_shards, len(STAT_FIELDS)), np.int64)
+        out = self.team.zeros((self.num_shards, len(_ROW_FIELDS)), np.int64)
         try:
             self.team.parallel_for(self.num_shards, _w_stats, out)
-            rows = [
-                {field: int(out[shard, col]) for col, field in enumerate(STAT_FIELDS)}
+            return [
+                _with_hit_rate(dict(zip(_ROW_FIELDS, map(int, out[shard]))))
                 for shard in range(self.num_shards)
             ]
         finally:
             self.team.release(out)
-        for row in rows:
-            total = row["cache_hits"] + row["cache_misses"]
-            row["cache_hit_rate"] = row["cache_hits"] / total if total else 0.0
-        return rows
 
     @property
     def live_segments(self) -> int:

@@ -76,6 +76,39 @@ def bfs(
     return bfs_forest(g, roots=np.array([root], dtype=np.int64), machine=machine, csr=csr)
 
 
+def root_picker(parent, roots: np.ndarray | None, cover_all: bool):
+    """The forest's root order as a ``next_root()`` callable (None: done).
+
+    The given ``roots`` come first, skipping any an earlier tree reached;
+    then, when ``roots`` is None or ``cover_all`` is set, the smallest
+    unreached vertex, again and again.  That search keeps a forward-only
+    cursor: every vertex below it is already reached and stays reached, so
+    it scans ``parent`` once in total, in chunks that double while they
+    find nothing, instead of once per tree.
+    """
+    pending = iter(roots.tolist()) if roots is not None else iter(())
+    exhaust_rest = roots is None or cover_all
+    n = len(parent)
+    cursor, chunk = 0, 64
+
+    def next_root() -> int | None:
+        nonlocal cursor, chunk
+        for r in pending:
+            if parent[r] < 0:
+                return int(r)
+        while exhaust_rest and cursor < n:
+            hi = min(cursor + chunk, n)
+            hits = np.flatnonzero(np.asarray(parent[cursor:hi]) < 0)
+            if hits.size:
+                cursor += int(hits[0])
+                chunk = 64
+                return cursor
+            cursor, chunk = hi, chunk * 2
+        return None
+
+    return next_root
+
+
 def bfs_forest(
     g: Graph,
     roots: np.ndarray | None = None,
@@ -121,19 +154,8 @@ def bfs_forest(
     machine.spawn()
 
     used_roots: list[int] = []
-    pending = iter(roots.tolist()) if roots is not None else iter(())
-    exhaust_rest = roots is None or cover_all
+    next_root = root_picker(parent, roots, cover_all)
     max_level = -1
-
-    def next_root() -> int | None:
-        for r in pending:
-            if parent[r] < 0:
-                return int(r)
-        if exhaust_rest:
-            unreached = np.flatnonzero(parent < 0)
-            if unreached.size:
-                return int(unreached[0])
-        return None
 
     while True:
         r = next_root()

@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph import CSRGraph, Graph
-from ..primitives.bfs import BFSResult
+from ..primitives.bfs import BFSResult, root_picker
 from ..primitives.connectivity import ConnectivityResult
 from ..smp import Machine, Ops, resolve_machine
 from .team import Team
@@ -402,19 +402,8 @@ def bfs_forest(
     offs = team.zeros(team.p, np.int64)
 
     used_roots: list[int] = []
-    pending = iter(roots.tolist()) if roots is not None else iter(())
-    exhaust_rest = roots is None or cover_all
+    next_root = root_picker(parent, roots, cover_all)
     max_level = -1
-
-    def next_root() -> int | None:
-        for r in pending:
-            if parent[r] < 0:
-                return int(r)
-        if exhaust_rest:
-            unreached = np.flatnonzero(np.asarray(parent) < 0)
-            if unreached.size:
-                return int(unreached[0])
-        return None
 
     while True:
         r = next_root()

@@ -31,7 +31,7 @@ from ..core.tarjan import tarjan_bcc
 from ..graph import Graph
 from ..obs import Telemetry, WallClockSink
 from ..smp import Machine
-from .engine import ServiceEngine
+from .engine import EngineStats, ServiceEngine
 from .store import graph_fingerprint
 from .workload import (
     BATCH_OP_NAMES,
@@ -135,9 +135,14 @@ class _RecomputeOracle:
         return oracle_answer(self._result, op)
 
 
-@dataclass
-class WorkloadReport:
-    """Measured outcome of one workload execution."""
+@dataclass(kw_only=True)
+class WorkloadReport(EngineStats):
+    """Measured outcome of one workload execution.
+
+    Carries every :class:`~repro.service.engine.EngineStats` counter of
+    the run (the engine's stats are reset at its start) next to the
+    driver's own measurements; :meth:`as_dict` is one flat document.
+    """
 
     graph_n: int
     graph_m: int
@@ -164,48 +169,17 @@ class WorkloadReport:
     query_item_p50_us: float = 0.0
     query_item_p95_us: float = 0.0
     query_item_p99_us: float = 0.0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_hit_rate: float = 0.0
-    rebuilds: int = 0
-    incremental_extensions: int = 0
-    evictions: int = 0
-    noop_updates: int = 0
-    #: index maintenance mode the run used, and the freshness queries asked
+    #: the engine's index maintenance mode and strategy knob, and the
+    #: freshness queries asked
     rebuild_mode: str = "sync"
-    freshness: str = "any"
-    #: maintenance-strategy knob and its per-strategy accounting: how
-    #: many catch-ups patched incrementally vs rebuilt, their measured
-    #: wall split, pending delta-log depth at run end, and contained
-    #: background-build failures
     maintenance: str = "auto"
-    rebuilds_incremental: int = 0
-    rebuilds_full: int = 0
-    rebuild_wall_by_strategy: dict = field(default_factory=dict)
-    delta_log_depth: int = 0
-    rebuild_errors: int = 0
-    last_rebuild_error: str = ""
-    #: measured wall seconds spent in full rebuilds (sync + background)
-    rebuild_wall_s: float = 0.0
-    #: async maintenance: stale serves, budget-blown inline rebuilds,
-    #: scheduler queue traffic, and the worst staleness age observed
-    stale_hits: int = 0
-    forced_syncs: int = 0
-    rebuilds_queued: int = 0
-    rebuild_swaps: int = 0
-    rebuilds_rejected: int = 0
-    max_staleness_ms: float = 0.0
+    freshness: str = "any"
     #: simulated machine accounting (None when run uninstrumented)
     p: int | None = None
     sim_time_s: float | None = None
     sim_regions: dict | None = None
     verified: bool | None = None
     mismatches: int = 0
-
-    def as_dict(self) -> dict:
-        from dataclasses import asdict
-
-        return asdict(self)
 
 
 def _percentiles(ns) -> dict:
@@ -366,29 +340,10 @@ def run_workload(
         query_item_p50_us=i50,
         query_item_p95_us=i95,
         query_item_p99_us=i99,
-        cache_hits=st.cache_hits,
-        cache_misses=st.cache_misses,
-        cache_hit_rate=st.cache_hit_rate,
-        rebuilds=st.rebuilds,
-        incremental_extensions=st.incremental_extensions,
-        evictions=st.evictions,
-        noop_updates=st.noop_updates,
         rebuild_mode=engine.rebuild_mode,
-        freshness=freshness,
         maintenance=engine.maintenance,
-        rebuilds_incremental=st.rebuilds_incremental,
-        rebuilds_full=st.rebuilds_full,
-        rebuild_wall_by_strategy=dict(st.rebuild_wall_by_strategy),
-        delta_log_depth=st.delta_log_depth,
-        rebuild_errors=st.rebuild_errors,
-        last_rebuild_error=st.last_rebuild_error,
-        rebuild_wall_s=st.rebuild_wall_s,
-        stale_hits=st.stale_hits,
-        forced_syncs=st.forced_syncs,
-        rebuilds_queued=st.rebuilds_queued,
-        rebuild_swaps=st.rebuild_swaps,
-        rebuilds_rejected=st.rebuilds_rejected,
-        max_staleness_ms=st.max_staleness_ms,
+        freshness=freshness,
+        **vars(st),
     )
     if machine is not None:
         rep = machine.report()

@@ -51,12 +51,14 @@ under three regions — ``Service-build``, ``Service-extend``,
 the paper's Fig. 4 step breakdowns.
 
 The engine reports through a :class:`repro.obs.Telemetry`: every cache
-hit/miss, rebuild, incremental extension, update, query, stale hit, and
-snapshot swap is emitted as an instant event, and build/extend/query work
-runs inside spans.  The public :attr:`ServiceEngine.stats` view
-(:class:`EngineStats`) is assembled on demand from the engine's
-:class:`~repro.obs.CounterSink`, plus measured rebuild wall seconds from
-a :class:`~repro.obs.WallClockSink` (``rebuild_wall_s``).
+hit/miss, catch-up, update, query, stale hit, and snapshot swap is
+emitted as an instant event, and build/extend/query work runs inside
+spans.  Each catch-up — sync or background, patch or full build — runs
+through one function and emits one ``index.build`` event carrying its
+strategy, whether a delta chain was pending, the chain length, and its
+``perf_counter`` wall seconds.  The public :attr:`ServiceEngine.stats`
+view (:class:`EngineStats`, one documented field per counter) is
+assembled on demand from those events.
 """
 
 from __future__ import annotations
@@ -64,10 +66,11 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field, replace
 
 from ..graph import Graph
-from ..obs import CounterSink, Telemetry, WallClockSink
+from ..obs import CounterSink, Sink, Telemetry
 from ..smp import Machine, NullMachine, Ops
 from . import updates as upd
 from .deltalog import MAX_PENDING_DELTAS, DeltaEntry, DeltaLog, classify_add, classify_remove
@@ -124,41 +127,59 @@ FRESHNESS_LEVELS = ("any", "fresh")
 
 @dataclass
 class EngineStats:
-    """Counters accumulated by a :class:`ServiceEngine` over its lifetime."""
+    """Counters accumulated by a :class:`ServiceEngine` since its last
+    :meth:`~ServiceEngine.reset_stats`.
 
+    This is the one list of engine counters: the cluster's per-shard stat
+    rows and the workload report derive from it.
+    Each field's comment gives its definition and the event it counts.
+    """
+
+    #: query items answered (a batch counts its items) — ``query``
     queries: int = 0
+    #: update batches applied, effective or not — ``update``
     updates: int = 0
+    #: update batches that changed nothing — ``update.noop``
     noop_updates: int = 0
+    #: query-path index lookups served from a cached index or current
+    #: snapshot — ``cache.hit``
     cache_hits: int = 0
+    #: query-path index lookups that caught up inline — ``cache.miss``
     cache_misses: int = 0
+    #: every full index build, first builds included — ``index.build``
+    #: with strategy ``full``
     rebuilds: int = 0
-    incremental_extensions: int = 0
+    #: LRU cache entries dropped — ``cache.evict``
     evictions: int = 0
-    #: async maintenance: queries served from a stale snapshot
+    #: async: queries served from a stale snapshot — ``index.stale_hit``
     stale_hits: int = 0
-    #: async maintenance: staleness budget exceeded -> inline rebuild
+    #: async: staleness budget blown, resolved inline — ``rebuild.force_sync``
     forced_syncs: int = 0
-    #: background rebuild jobs enqueued / completed-and-swapped / rejected
+    #: async: background jobs enqueued / swapped in / refused admission —
+    #: ``rebuild.queued`` / ``rebuild.swap`` / ``rebuild.reject``
     rebuilds_queued: int = 0
     rebuild_swaps: int = 0
     rebuilds_rejected: int = 0
-    #: maintenance decisions over a pending delta chain: refreshed by
-    #: incremental patching vs by a full rebuild (plain first builds with
-    #: no chain on file count in neither)
+    #: catch-ups over a pending delta chain, by outcome: patched vs fully
+    #: rebuilt — ``index.build`` with ``chain`` set
     rebuilds_incremental: int = 0
     rebuilds_full: int = 0
     #: pending (undrained) delta-log entries across all graphs, right now
     delta_log_depth: int = 0
-    #: background rebuilds that raised; the previous snapshot kept serving
+    #: background catch-ups that raised; the previous snapshot kept
+    #: serving — ``rebuild.error``
     rebuild_errors: int = 0
     last_rebuild_error: str = ""
-    #: measured wall seconds spent in full index rebuilds (sync + async)
+    #: wall seconds of every full build (the ``rebuilds``), sync and
+    #: background — ``index.build`` seconds
     rebuild_wall_s: float = 0.0
-    #: measured wall seconds per maintenance strategy (only decisions
-    #: taken over a pending delta chain; keys are strategy names)
+    #: wall seconds per strategy name of the catch-ups over a pending
+    #: delta chain (exactly those ``rebuilds_incremental``/``rebuilds_full``
+    #: count) — ``index.build`` seconds
     rebuild_wall_by_strategy: dict = field(default_factory=dict)
-    #: worst staleness age observed at a stale hit or swap, in ms
+    #: async: worst staleness age observed at a stale hit or swap, in ms
     max_staleness_ms: float = 0.0
+    #: query items per op name — ``query.<op>``
     per_op: dict = field(default_factory=dict)
 
     @property
@@ -167,31 +188,49 @@ class EngineStats:
         return self.cache_hits / total if total else 0.0
 
     def as_dict(self) -> dict:
-        return {
-            "queries": self.queries,
-            "updates": self.updates,
-            "noop_updates": self.noop_updates,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_hit_rate": self.cache_hit_rate,
-            "rebuilds": self.rebuilds,
-            "incremental_extensions": self.incremental_extensions,
-            "evictions": self.evictions,
-            "stale_hits": self.stale_hits,
-            "forced_syncs": self.forced_syncs,
-            "rebuilds_queued": self.rebuilds_queued,
-            "rebuild_swaps": self.rebuild_swaps,
-            "rebuilds_rejected": self.rebuilds_rejected,
-            "rebuilds_incremental": self.rebuilds_incremental,
-            "rebuilds_full": self.rebuilds_full,
-            "delta_log_depth": self.delta_log_depth,
-            "rebuild_errors": self.rebuild_errors,
-            "last_rebuild_error": self.last_rebuild_error,
-            "rebuild_wall_s": self.rebuild_wall_s,
-            "rebuild_wall_by_strategy": dict(self.rebuild_wall_by_strategy),
-            "max_staleness_ms": self.max_staleness_ms,
-            "per_op": dict(self.per_op),
-        }
+        return {**asdict(self), "cache_hit_rate": self.cache_hit_rate}
+
+
+class _CatchUpSink(Sink):
+    """Folds ``index.build`` events into the catch-up fields of an
+    :class:`EngineStats` (events arrive from the rebuild worker too)."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.reset()
+
+    def on_event(self, name, path, t_ns, attrs) -> None:
+        if name != "index.build":
+            return
+        strategy, seconds = attrs["strategy"], attrs["seconds"]
+        with self._lock:
+            st = self._stats
+            if strategy == "full":
+                st.rebuilds += 1
+                st.rebuild_wall_s += seconds
+            if attrs["chain"]:
+                if strategy == "full":
+                    st.rebuilds_full += 1
+                else:
+                    st.rebuilds_incremental += 1
+                walls = st.rebuild_wall_by_strategy
+                walls[strategy] = walls.get(strategy, 0.0) + seconds
+
+    def stats(self) -> EngineStats:
+        with self._lock:
+            return replace(
+                self._stats,
+                rebuild_wall_by_strategy=dict(self._stats.rebuild_wall_by_strategy),
+            )
+
+    def reset(self) -> None:
+        with self._lock:
+            self._stats = EngineStats()
+
+
+def _no_region(label: str):
+    """The background worker's stand-in for :meth:`ServiceEngine._region`."""
+    return nullcontext()
 
 
 class ServiceEngine:
@@ -208,8 +247,6 @@ class ServiceEngine:
         coalesce_ms: float = 0.0,
         staleness_budget_ms: float | None = 250.0,
         max_pending_rebuilds: int | None = 8,
-        rebuild_backend: str | None = None,
-        rebuild_p: int | None = None,
         maintenance: str = "auto",
         clock=None,
     ):
@@ -242,18 +279,19 @@ class ServiceEngine:
         else:
             self.telemetry = Telemetry()
         self._counters = self.telemetry.add_sink(CounterSink())
-        self._wall = self.telemetry.add_sink(WallClockSink())
+        self._catch_ups = self.telemetry.add_sink(_CatchUpSink())
         self._cache: OrderedDict[str, BCCIndex] = OrderedDict()
         self._logs: dict[str, DeltaLog] = {}
-        self._strategy_wall: dict[str, float] = {}
         self.maintenance = maintenance
         self.rebuild_mode = rebuild_mode
         self.coalesce_ms = float(coalesce_ms)
         self.staleness_budget_ms = staleness_budget_ms
         self._clock = clock if clock is not None else time.monotonic
         # snapshot installs/evictions are serialized against the rebuild
-        # worker; snapshot *reads* stay lock-free (GIL-atomic dict load)
-        self._swap_lock = threading.Lock()
+        # worker; snapshot *reads* stay lock-free (GIL-atomic dict load).
+        # Re-entrant: the background swap installs through the same
+        # helpers as the inline path while holding it.
+        self._swap_lock = threading.RLock()
         self._snapshots: dict[str, IndexSnapshot] = {}
         self._dirty_since: dict[str, float] = {}
         self._max_staleness_ms = 0.0
@@ -271,8 +309,6 @@ class ServiceEngine:
                 coalesce_s=self.coalesce_ms / 1000.0,
                 max_pending=max_pending_rebuilds,
                 clock=self._clock,
-                backend=rebuild_backend,
-                p=rebuild_p,
             )
 
     # ------------------------------------------------------------------ #
@@ -320,17 +356,16 @@ class ServiceEngine:
         return self._index_async(name, entry)
 
     def _index_sync(self, name: str, entry) -> BCCIndex:
-        """The historical inline path: cache hit, delta replay, or rebuild."""
+        """The inline path: cache hit, or catch up right here."""
         idx = self._cache.get(entry.fingerprint)
         if idx is not None:
             with self._swap_lock:
                 self._cache.move_to_end(entry.fingerprint)
             self.telemetry.event("cache.hit")
-            self._install(name, idx, entry)
-            return idx
-        self.telemetry.event("cache.miss")
-        idx = self._resolve(name, entry)
-        self._cache_put(idx)
+        else:
+            self.telemetry.event("cache.miss")
+            idx = self._catch_up(name, entry, self._region, self.machine)
+            self._cache_put(idx)
         self._install(name, idx, entry)
         return idx
 
@@ -376,8 +411,14 @@ class ServiceEngine:
                 self._cache.popitem(last=False)
                 self.telemetry.event("cache.evict")
 
-    def _install(self, name: str, idx: BCCIndex, entry) -> None:
-        """Atomically publish ``idx`` as ``name``'s current snapshot."""
+    def _install(self, name: str, idx: BCCIndex, entry, inline: bool = True) -> None:
+        """Atomically publish ``idx`` as ``name``'s snapshot of ``entry``.
+
+        An inline install supersedes any queued background job.  A
+        background install whose content was overtaken by churn mid-build
+        leaves the staleness mark (and the log its undrained suffix) in
+        place; the scheduler's re-run mark converges on the newest content.
+        """
         log = self._logs.get(name)
         with self._swap_lock:
             if log is not None:
@@ -390,9 +431,9 @@ class ServiceEngine:
                 source=idx.source,
                 log_version=log.version if log is not None else 0,
             )
-            self._dirty_since.pop(name, None)
-        if self._scheduler is not None:
-            # an inline resolve supersedes any queued background job
+            if inline or self.store.entry(name).fingerprint == entry.fingerprint:
+                self._dirty_since.pop(name, None)
+        if inline and self._scheduler is not None:
             self._scheduler.cancel(name)
 
     def _mark_stale(self, name: str) -> None:
@@ -417,14 +458,11 @@ class ServiceEngine:
 
     def _background_rebuild(self, name: str, job) -> None:
         """Scheduler runner: catch the index up to the latest content and
-        swap atomically.
+        swap it in atomically.
 
-        Runs on the scheduler's worker thread.  Asks the maintenance
-        registry how to catch up: a qualifying delta chain is patched
-        incrementally against a copy of the last-good snapshot's index,
-        anything else takes one full rebuild.  Uses only thread-safe
-        telemetry (instant events + a private wall sink); never touches
-        the machine/span stack.
+        Runs on the scheduler's worker thread, so it catches up outside
+        the (thread-unsafe) span stack and machine; its ``index.build``
+        and swap events are plain instant events.
         """
         try:
             entry = self.store.entry(name)
@@ -435,74 +473,17 @@ class ServiceEngine:
             return  # revalidated meanwhile (revert or inline resolve)
         idx = self._cache.get(entry.fingerprint)
         if idx is None:
-            log = self._logs.get(name)
-            maintained = log is not None and len(log) > 0
-            plan = plan_maintenance(
-                self.maintenance,
-                log,
-                entry,
-                self._base_index,
-                algorithm=self.algorithm,
-                p=self._scheduler_p(),
-            )
-            tel = Telemetry()
-            wall = tel.add_sink(WallClockSink())
-            if plan.incremental:
-                with tel.span("Service-extend"):
-                    idx = apply_plan(plan)
-                if idx is not None:
-                    self._note_strategy(
-                        plan, plan.strategy,
-                        wall.seconds.get("Service-extend", 0.0),
-                    )
-                    self.telemetry.event(
-                        "index.incremental", count=len(plan.entries)
-                    )
-            if idx is None:
-                with tel.span("Service-build"):
-                    idx = BCCIndex.build(
-                        entry.graph,
-                        algorithm=self.algorithm,
-                        fingerprint=entry.fingerprint,
-                        team=self._scheduler.team,
-                    )
-                self._scheduler.add_wall(wall.seconds.get("Service-build", 0.0))
-                self.telemetry.event("index.rebuild")
-                if maintained:
-                    self._note_strategy(
-                        plan, "full", wall.seconds.get("Service-build", 0.0)
-                    )
+            idx = self._catch_up(name, entry)
         if job.cancelled:
             return
-        now = self._clock()
         with self._swap_lock:
             prev = self._snapshots.get(name)
             if prev is not None and prev.version >= entry.version and not prev.fresh_for(entry):
                 return  # a newer snapshot raced in; ours is obsolete
-            self._cache[idx.fingerprint] = idx
-            self._cache.move_to_end(idx.fingerprint)
-            while len(self._cache) > self.cache_size:
-                self._cache.popitem(last=False)
-                self.telemetry.event("cache.evict")
+            now = self._clock()
             stale_s = now - self._dirty_since.get(name, now)
-            log = self._logs.get(name)
-            if log is not None:
-                log.catch_up(entry.fingerprint, entry.version)
-            self._snapshots[name] = IndexSnapshot(
-                index=idx,
-                fingerprint=entry.fingerprint,
-                version=entry.version,
-                built_at=now,
-                source=idx.source,
-                log_version=log.version if log is not None else 0,
-            )
-            current = self.store.entry(name)
-            if current.fingerprint == entry.fingerprint:
-                # swap reached the newest content: clean slate
-                self._dirty_since.pop(name, None)
-            # else: mid-build churn — dirty_since stays (and the log keeps
-            # the undrained suffix); the scheduler's re-run mark converges
-            # on the newest content
+            self._cache_put(idx)
+            self._install(name, idx, entry, inline=False)
         swap_ms = max(now - job.queued_at, 0.0) * 1000.0
         stale_ms = max(stale_s, 0.0) * 1000.0
         self._max_staleness_ms = max(self._max_staleness_ms, stale_ms)
@@ -522,55 +503,45 @@ class ServiceEngine:
                 return snap.index
         return None
 
-    def _scheduler_p(self) -> int:
-        if self._scheduler is not None and self._scheduler.team is not None:
-            return self._scheduler.team.p
-        return 1
+    def _catch_up(self, name: str, entry, region=_no_region, machine=None) -> BCCIndex:
+        """Bring ``name``'s index up to stored ``entry``: the one
+        maintenance path of both rebuild modes.
 
-    def _note_strategy(self, plan, strategy: str, seconds: float) -> None:
-        """Account one maintenance decision: strategy event + wall bucket."""
-        with self._swap_lock:
-            self._strategy_wall[strategy] = (
-                self._strategy_wall.get(strategy, 0.0) + seconds
-            )
-        self.telemetry.event(
-            "rebuild.strategy",
-            op=strategy,
-            patch_edges=plan.patch_edges,
-            deltas=len(plan.entries),
-        )
-
-    def _resolve(self, name: str, entry) -> BCCIndex:
-        """Inline catch-up: plan against the delta log, patch or rebuild."""
+        Plans against the delta log, patches a qualifying chain, and falls
+        back to one full build when the plan says so or a patch path's
+        consistency guard bails.  The work that produced the index is
+        timed once and reported as one ``index.build`` event.  Inline
+        callers pass the engine's ``region`` and ``machine`` so the work
+        lands in ``Service-extend``/``Service-build``; the background
+        worker keeps the defaults (no span, no machine).
+        """
         log = self._logs.get(name)
-        maintained = log is not None and len(log) > 0
+        deltas = len(log) if log is not None else 0
         plan = plan_maintenance(
-            self.maintenance,
-            log,
-            entry,
-            self._base_index,
-            algorithm=self.algorithm,
+            self.maintenance, log, entry, self._base_index, algorithm=self.algorithm
         )
+        idx, strategy = None, plan.strategy
         if plan.incremental:
             t0 = time.perf_counter()
-            with self._region("Service-extend"):
-                idx = apply_plan(plan, machine=self.machine)
-            if idx is not None:
-                self._note_strategy(plan, plan.strategy, time.perf_counter() - t0)
-                self.telemetry.event("index.incremental", count=len(plan.entries))
-                return idx
-            # a patch path's consistency guard bailed: one full rebuild
-        self.telemetry.event("index.rebuild")
-        t0 = time.perf_counter()
-        with self._region("Service-build"):
-            idx = BCCIndex.build(
-                entry.graph,
-                algorithm=self.algorithm,
-                machine=self.machine,
-                fingerprint=entry.fingerprint,
-            )
-        if maintained:
-            self._note_strategy(plan, "full", time.perf_counter() - t0)
+            with region("Service-extend"):
+                idx = apply_plan(plan, machine=machine)
+        if idx is None:
+            strategy = "full"
+            t0 = time.perf_counter()
+            with region("Service-build"):
+                idx = BCCIndex.build(
+                    entry.graph,
+                    algorithm=self.algorithm,
+                    machine=machine,
+                    fingerprint=entry.fingerprint,
+                )
+        self.telemetry.event(
+            "index.build",
+            strategy=strategy,
+            chain=deltas > 0,
+            deltas=deltas,
+            seconds=time.perf_counter() - t0,
+        )
         return idx
 
     # ------------------------------------------------------------------ #
@@ -652,13 +623,7 @@ class ServiceEngine:
         """
         if op not in QUERY_OPS:
             raise ValueError(f"unknown query op {op!r}; choose from {sorted(QUERY_OPS)}")
-        idx = self.index_for(name, freshness=freshness)
-        with self._region("Service-query"):
-            if self.machine is not None:
-                self.machine.sequential(1, QUERY_OPS[op])
-        answer = getattr(idx, op)(**params)
-        self.telemetry.event("query", op=op)
-        return answer
+        return self._answer(name, op, freshness, 1, QUERY_OPS[op], params)
 
     def query_many(self, name: str, op: str, freshness: str = "any", **params):
         """Answer one *batched* query in a single vectorized kernel call.
@@ -678,6 +643,11 @@ class ServiceEngine:
             )
         items_key, per_item = BATCH_OPS[op]
         count = len(params.get(items_key, ()))
+        return self._answer(name, op, freshness, count, per_item, params)
+
+    def _answer(self, name, op, freshness, count, per_item, params):
+        """Resolve the index once, then run ``op``'s kernel inside the
+        ``Service-query`` span (charged ``count`` items of ``per_item``)."""
         idx = self.index_for(name, freshness=freshness)
         with self._region("Service-query"):
             if self.machine is not None and count:
@@ -727,57 +697,35 @@ class ServiceEngine:
         return self._staleness_ms(name)
 
     @property
-    def rebuild_wall_s(self) -> float:
-        """Measured wall seconds spent in full rebuilds, sync + async."""
-        total = sum(
-            s for path, s in self._wall.seconds.items()
-            if path.rsplit(".", 1)[-1] == "Service-build"
-        )
-        if self._scheduler is not None:
-            total += self._scheduler.rebuild_wall_s
-        return total
-
-    @property
     def stats(self) -> EngineStats:
-        """Lifetime counters, assembled from the engine's counter sink."""
+        """Counters since the last reset, assembled from the engine's sinks."""
         c = self._counters
-        return EngineStats(
+        return replace(
+            self._catch_ups.stats(),
             queries=c["query"],
             updates=c["update"],
             noop_updates=c["update.noop"],
             cache_hits=c["cache.hit"],
             cache_misses=c["cache.miss"],
-            rebuilds=c["index.rebuild"],
-            incremental_extensions=c["index.incremental"],
             evictions=c["cache.evict"],
             stale_hits=c["index.stale_hit"],
             forced_syncs=c["rebuild.force_sync"],
             rebuilds_queued=c["rebuild.queued"],
             rebuild_swaps=c["rebuild.swap"],
             rebuilds_rejected=c["rebuild.reject"],
-            rebuilds_incremental=(
-                c["rebuild.strategy.incremental-extend"]
-                + c["rebuild.strategy.incremental-shrink"]
-                + c["rebuild.strategy.incremental-mixed"]
-            ),
-            rebuilds_full=c["rebuild.strategy.full"],
             delta_log_depth=sum(len(log) for log in self._logs.values()),
             rebuild_errors=c["rebuild.error"],
             last_rebuild_error=(
                 self._scheduler.last_error if self._scheduler is not None else ""
             ),
-            rebuild_wall_s=self.rebuild_wall_s,
-            rebuild_wall_by_strategy=dict(self._strategy_wall),
             max_staleness_ms=self._max_staleness_ms,
             per_op=c.prefixed("query"),
         )
 
     def reset_stats(self) -> None:
         self._counters.reset()
-        self._wall.reset()
+        self._catch_ups.reset()
         self._max_staleness_ms = 0.0
-        with self._swap_lock:
-            self._strategy_wall = {}
         if self._scheduler is not None:
             self._scheduler.reset_stats()
 

@@ -126,20 +126,16 @@ class BCCIndex:
         fingerprint: str | None = None,
         backend: str | None = None,
         p: int | None = None,
-        team=None,
     ) -> "BCCIndex":
         """Run a registered algorithm on ``g`` and index the result.
 
         ``backend``/``p`` select the execution backend and worker count
         (see :mod:`repro.runtime`); the default runs simulated/vectorized.
-        ``team`` executes on a caller-owned persistent worker team as-is
-        (the rebuild scheduler's path — no per-build team setup cost).
         """
         from ..api import biconnected_components
 
         result = biconnected_components(
-            g, algorithm=algorithm, machine=machine, backend=backend, p=p,
-            team=team,
+            g, algorithm=algorithm, machine=machine, backend=backend, p=p
         )
         return cls(result, fingerprint=fingerprint, source="build")
 

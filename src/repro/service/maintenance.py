@@ -13,10 +13,10 @@ current stored content.  The registry holds three concrete strategies —
 ``full``                rebuild from scratch with the engine's algorithm
 ======================  ======================================================
 
-— plus the ``auto`` mode, which classifies the pending chain and picks
-the cheapest *applicable* strategy: chains containing a ``cross-block``
-or ``structural`` delta go straight to ``full``; qualifying chains are
-priced per patch call (one relabelling sweep over the post-patch edge
+— and two modes: ``full`` always rebuilds, and ``auto`` classifies the
+pending chain and picks the cheapest *applicable* strategy: chains
+containing a ``cross-block`` or ``structural`` delta go straight to
+``full``; qualifying chains are priced per patch call (one relabelling sweep over the post-patch edge
 list, the same ``Ops(contig=2, alu=1)`` mix the engine charges its
 simulated machine — a run of consecutive adds coalesces into a single
 sweep) against the closed-form full-build cost from
@@ -90,8 +90,9 @@ STRATEGIES: dict[str, MaintenanceStrategy] = {
     ),
 }
 
-#: Engine/CLI maintenance modes: the registry names plus ``auto``.
-MAINTENANCE_MODES = ("auto", "full", "incremental-extend", "incremental-shrink")
+#: Engine/CLI maintenance modes: ``auto`` picks per chain; ``full`` always
+#: rebuilds (the oracle the property tests compare ``auto`` against).
+MAINTENANCE_MODES = ("auto", "full")
 
 _STRATEGY_FOR_KIND = {"add": "incremental-extend", "remove": "incremental-shrink"}
 
@@ -226,10 +227,8 @@ def plan_maintenance(
     strategy, why_not = _qualify(chain)
     if strategy is None:
         return full(why_not)
-    if mode in ("incremental-extend", "incremental-shrink") and strategy != mode:
-        return full(f"chain is {strategy}, not {mode}")
     inc_s = predict_patch_cost_s(chain)
-    if mode == "auto" and inc_s > full_s:
+    if inc_s > full_s:
         return full(
             f"patch chain priced above a rebuild "
             f"({inc_s * 1e6:.1f}us vs {full_s * 1e6:.1f}us)",

@@ -19,15 +19,9 @@ everything around that call:
 * **Re-run on churn** — updates landing while a graph's job is mid-build
   mark it for one follow-up run, so the swap always converges to the
   newest content.
-* **Optional worker team** — pass ``backend``/``p`` (names from
-  :mod:`repro.runtime`) and the scheduler owns a persistent
-  :class:`~repro.runtime.team.Team` (threads by default, ``processes``
-  for fork-based workers) that every rebuild executes on; it is closed
-  with the scheduler.
 * **Clean shutdown** — :meth:`close` cancels queued jobs, lets an
-  in-flight build finish (its install is skipped when cancelled), joins
-  the worker thread, and closes the team; no thread or worker outlives
-  the owning engine.
+  in-flight build finish (its install is skipped when cancelled) and
+  joins the worker thread; no thread outlives the owning engine.
 
 The clock is injectable (``clock=...``, default ``time.monotonic``) so
 tests drive coalescing windows and staleness budgets deterministically;
@@ -38,8 +32,8 @@ Telemetry events (``rebuild.queued`` / ``rebuild.coalesced`` /
 ``rebuild.reject`` / ``rebuild.cancelled`` / ``rebuild.error``) are
 emitted on the telemetry the engine shares with the scheduler —
 ``Telemetry.event`` appends to sinks under the GIL, which is safe from
-the worker thread; spans/machines are not, so the runner keeps its wall
-measurement on a private sink and reports it via :meth:`add_wall`.
+the worker thread; spans/machines are not, so the runner must not open
+spans or charge a machine.
 """
 
 from __future__ import annotations
@@ -79,8 +73,6 @@ class RebuildScheduler:
         max_pending: int | None = 8,
         clock=None,
         poll_s: float = 0.02,
-        backend: str | None = None,
-        p: int | None = None,
     ):
         if coalesce_s < 0:
             raise ValueError(f"coalesce_s must be >= 0, got {coalesce_s}")
@@ -92,17 +84,11 @@ class RebuildScheduler:
         self.max_pending = max_pending
         self._clock = clock if clock is not None else time.monotonic
         self._poll_s = float(poll_s)
-        self.team = None
-        if backend is not None:
-            from ..runtime import make_team
-
-            self.team = make_team(backend, p if p is not None else 2)
         self._cond = threading.Condition()
         self._jobs: OrderedDict[str, RebuildJob] = OrderedDict()
         self._running: RebuildJob | None = None
         self._rerun: set[str] = set()
         self._closed = False
-        self.rebuild_wall_s = 0.0
         #: last background-build exception, as "ExcType: message" ("" = none);
         #: a failed build is contained — the previous snapshot keeps serving
         self.last_error = ""
@@ -179,14 +165,8 @@ class RebuildScheduler:
     def alive(self) -> bool:
         return self._thread.is_alive()
 
-    def add_wall(self, seconds: float) -> None:
-        """Accumulate build wall seconds measured by the runner."""
-        with self._cond:
-            self.rebuild_wall_s += float(seconds)
-
     def reset_stats(self) -> None:
         with self._cond:
-            self.rebuild_wall_s = 0.0
             self.last_error = ""
 
     # ------------------------------------------------------------------ #
@@ -215,7 +195,7 @@ class RebuildScheduler:
             return True
 
     def close(self, timeout: float = 10.0) -> None:
-        """Cancel queued jobs, join the worker, close the team (idempotent)."""
+        """Cancel queued jobs and join the worker (idempotent)."""
         with self._cond:
             if not self._closed:
                 for job in self._jobs.values():
@@ -229,9 +209,6 @@ class RebuildScheduler:
                 self._closed = True
                 self._cond.notify_all()
         self._thread.join(timeout)
-        if self.team is not None:
-            self.team.close()
-            self.team = None
 
     def __enter__(self) -> "RebuildScheduler":
         return self

@@ -1,10 +1,11 @@
 """Immutable index snapshots: what queries read under async maintenance.
 
-The stale-while-revalidate engine (``rebuild_mode="async"``) splits the
-old synchronous ``_resolve`` in two: queries read the last installed
+The stale-while-revalidate engine (``rebuild_mode="async"``) splits
+serving from catching up: queries read the last installed
 :class:`IndexSnapshot` lock-free (an atomic dict load under the GIL),
-while a :class:`~repro.service.scheduler.RebuildScheduler` computes the
-replacement off the query path and swaps a new snapshot in atomically.
+while a :class:`~repro.service.scheduler.RebuildScheduler` runs the
+engine's one catch-up path off the query path and swaps a new snapshot
+in atomically.
 
 A snapshot is a *consistent* view by construction — it pairs one
 immutable :class:`~repro.service.index.BCCIndex` with the exact graph

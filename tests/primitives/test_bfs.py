@@ -103,3 +103,58 @@ class TestBFSForest:
         res = bfs_forest(g)
         assert 2 in res.roots.tolist()
         assert res.level[2] == 0
+
+
+def _sparse_components(n_isolated: int = 3000, seed: int = 4):
+    """Thousands of isolated vertices with a few components hidden among them."""
+    rng = np.random.default_rng(seed)
+    parts = [gen.random_connected_gnm(40, 70, seed=seed), gen.cycle_graph(25),
+             gen.path_graph(12)]
+    n = n_isolated + sum(p.n for p in parts)
+    ids = rng.permutation(n)
+    us, vs, off = [], [], 0
+    for p in parts:
+        us.append(ids[off + p.u])
+        vs.append(ids[off + p.v])
+        off += p.n
+    return Graph(n, np.concatenate(us), np.concatenate(vs))
+
+
+def _components(g):
+    import networkx as nx
+
+    return list(nx.connected_components(g.to_networkx()))
+
+
+class TestBFSForestRootOrder:
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
+    def test_roots_are_smallest_unreached_vertices(self, backend):
+        from repro.runtime import kernels, make_team
+        from repro.smp import Machine
+
+        g = _sparse_components()
+        # the oracle: each tree is seeded by the smallest vertex no earlier
+        # tree reached, i.e. by its component's minimum, in ascending order
+        expected = sorted(min(c) for c in _components(g))
+        ref_machine = Machine(p=4)
+        ref = bfs_forest(g, machine=ref_machine)
+        assert ref.roots.tolist() == expected
+        with make_team(backend, 2) as team:
+            machine = Machine(p=4)
+            got = kernels.bfs_forest(g, team=team, machine=machine)
+        assert got.roots.tolist() == expected
+        np.testing.assert_array_equal(got.parent, ref.parent)
+        np.testing.assert_array_equal(got.level, ref.level)
+        np.testing.assert_array_equal(got.parent_edge, ref.parent_edge)
+        assert got.num_levels == ref.num_levels
+        assert (machine.report().totals.as_dict()
+                == ref_machine.report().totals.as_dict())
+
+    def test_explicit_roots_then_smallest_unreached(self):
+        g = _sparse_components(n_isolated=500)
+        comps = _components(g)
+        big = max(comps, key=len)
+        first = max(big)  # a non-minimal root of the largest component
+        res = bfs_forest(g, roots=np.array([first]), cover_all=True)
+        rest = sorted(min(c) for c in comps if c is not big)
+        assert res.roots.tolist() == [first, *rest]

@@ -178,16 +178,16 @@ class TestEngineBatch:
         eng.put_graph("g", g)
         eng.query("g", "num_components")  # build + cache
         st0 = eng.stats
-        assert (st0.rebuilds, st0.incremental_extensions) == (1, 0)
+        assert (st0.rebuilds, st0.rebuilds_incremental) == (1, 0)
         eng.add_edges("g", [(0, 39), (1, 38)])  # lazy: no replay yet
         out = eng.query_many("g", "is_bridge_many", pairs=[[0, 39], [1, 38]])
         assert not out.any()  # both sit on new cycles through the old graph
         st1 = eng.stats
         assert st1.rebuilds == 1  # extended, not rebuilt
-        assert st1.incremental_extensions == 1  # replayed exactly once
+        assert st1.rebuilds_incremental == 1  # replayed exactly once
         eng.query_many("g", "same_bcc_many", pairs=[[0, 39]])
         st2 = eng.stats
-        assert st2.incremental_extensions == 1  # second batch hits cache
+        assert st2.rebuilds_incremental == 1  # second batch hits cache
         assert st2.cache_hits == st1.cache_hits + 1
 
     def test_per_item_counter_stats(self):

@@ -72,7 +72,7 @@ class TestCache:
         eng.query("g", "num_components")
         st = eng.stats
         assert st.rebuilds == 1 and st.cache_hits == 1
-        assert st.incremental_extensions == 0
+        assert st.rebuilds_incremental == 0
 
     def test_eviction(self):
         eng = ServiceEngine(cache_size=1)
@@ -102,8 +102,9 @@ class TestLazyUpdates:
         assert eng.stats.rebuilds == 1  # nothing recomputed yet (lazy)
         assert eng.query("g", "num_components") == 1
         st = eng.stats
-        # both chords lie inside the cycle's single block -> extended, not rebuilt
-        assert st.rebuilds == 1 and st.incremental_extensions == 2
+        # both chords lie inside the cycle's single block -> one catch-up
+        # patches them both, nothing is rebuilt
+        assert st.rebuilds == 1 and st.rebuilds_incremental == 1
 
     def test_cross_block_add_forces_rebuild(self):
         eng = ServiceEngine()
@@ -112,7 +113,7 @@ class TestLazyUpdates:
         eng.add_edges("g", [(0, 5)])  # joins all blocks into one cycle
         assert eng.query("g", "num_components") == 1
         st = eng.stats
-        assert st.rebuilds == 2 and st.incremental_extensions == 0
+        assert st.rebuilds == 2 and st.rebuilds_incremental == 0
 
     def test_bridge_removal_shrinks(self):
         eng = ServiceEngine()
@@ -121,7 +122,7 @@ class TestLazyUpdates:
         eng.remove_edges("g", [(2, 3)])
         assert eng.query("g", "num_components") == 3
         st = eng.stats
-        assert st.rebuilds == 1 and st.incremental_extensions == 1
+        assert st.rebuilds == 1 and st.rebuilds_incremental == 1
 
     def test_non_bridge_removal_rebuilds(self):
         eng = fresh_engine()
@@ -156,7 +157,7 @@ class TestLazyUpdates:
         eng.add_edges("g", [(0, 2)])
         eng.put_graph("g", gen.path_graph(3))
         assert eng.query("g", "num_components") == 2
-        assert eng.stats.incremental_extensions == 0
+        assert eng.stats.rebuilds_incremental == 0
 
     def test_correct_after_many_mixed_updates(self):
         eng = ServiceEngine(algorithm="tv-filter")

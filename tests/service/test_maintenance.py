@@ -183,17 +183,12 @@ class TestPlanMaintenance:
         plan = plan_maintenance("auto", log, _stored(g), lambda fp: idx)
         assert plan.strategy == "full" and "structural" in plan.reason
 
-    def test_forced_incremental_mode_mismatch_full(self):
+    def test_strategy_names_are_not_modes(self):
+        # strategies are what auto picks, not knobs: only auto/full plan
         log, g, idx = _chain(gen.path_graph(6), [("remove", [(0, 1)])])
-        plan = plan_maintenance("incremental-extend", log, _stored(g),
-                                lambda fp: idx)
-        assert plan.strategy == "full" and "not incremental-extend" in plan.reason
-
-    def test_forced_incremental_mode_match(self):
-        log, g, idx = _chain(gen.path_graph(6), [("remove", [(0, 1)])])
-        plan = plan_maintenance("incremental-shrink", log, _stored(g),
-                                lambda fp: idx)
-        assert plan.strategy == "incremental-shrink"
+        for mode in ("incremental-extend", "incremental-shrink"):
+            with pytest.raises(ValueError, match="unknown maintenance mode"):
+                plan_maintenance(mode, log, _stored(g), lambda fp: idx)
 
     def test_auto_prices_deep_chain_against_rebuild(self):
         # alternating fake add/remove entries, each claiming a huge
@@ -220,7 +215,8 @@ class TestPlanMaintenance:
         assert plan.predicted_incremental_s > plan.predicted_full_s
 
     def test_modes_constant_covers_registry(self):
-        assert set(STRATEGIES) | {"auto"} == set(MAINTENANCE_MODES)
+        assert MAINTENANCE_MODES == ("auto", "full")
+        assert "full" in STRATEGIES
 
 
 def _pendant_cycle():

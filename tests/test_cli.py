@@ -582,3 +582,44 @@ class TestClusterCLI:
         assert isinstance(docs[1]["answer"], int)
         assert docs[2]["shutdown"] is True
         assert "served 3 request(s)" in captured.err
+
+
+class TestSharedEngineFlags:
+    FLAGS = ("maintenance", "rebuild_mode", "coalesce_ms", "staleness_budget_ms")
+
+    def _parsed(self, monkeypatch, argv):
+        import repro.cli as cli
+
+        seen = []
+        for name in ("cmd_workload_run", "cmd_cluster_run", "cmd_cluster_serve"):
+            monkeypatch.setattr(cli, name, lambda args: seen.append(args) or 0)
+        assert main(argv) == 0
+        return seen[0]
+
+    def test_same_defaults(self, monkeypatch):
+        wl = self._parsed(monkeypatch, ["workload", "run", "w.jsonl"])
+        serve = self._parsed(monkeypatch, ["cluster", "serve"])
+        defaults = {"maintenance": "auto", "rebuild_mode": "sync",
+                    "coalesce_ms": 0.0, "staleness_budget_ms": 250.0}
+        assert {f: getattr(wl, f) for f in self.FLAGS} == defaults
+        assert {f: getattr(serve, f) for f in self.FLAGS} == defaults
+
+    def test_same_choices(self, monkeypatch):
+        flags = ["--maintenance", "full", "--rebuild-mode", "async",
+                 "--coalesce-ms", "5", "--staleness-budget-ms", "-1"]
+        wl = self._parsed(monkeypatch, ["workload", "run", "w.jsonl", *flags])
+        serve = self._parsed(monkeypatch, ["cluster", "serve", *flags])
+        assert ({f: getattr(wl, f) for f in self.FLAGS}
+                == {f: getattr(serve, f) for f in self.FLAGS})
+
+    def test_cluster_run_takes_only_maintenance(self, monkeypatch, capsys):
+        run = self._parsed(monkeypatch, ["cluster", "run", "--maintenance", "full"])
+        assert run.maintenance == "full"
+        assert not hasattr(run, "rebuild_mode")
+        with pytest.raises(SystemExit):
+            main(["cluster", "run", "--rebuild-mode", "async"])
+
+    @pytest.mark.parametrize("mode", ["incremental-extend", "incremental-shrink"])
+    def test_forced_strategy_modes_rejected(self, mode, capsys):
+        with pytest.raises(SystemExit):
+            main(["workload", "run", "w.jsonl", "--maintenance", mode])
