@@ -166,7 +166,6 @@ def biconnected_components(
     algorithm:
         ``"sequential"`` (Tarjan), ``"tv-smp"``, ``"tv-opt"``,
         ``"tv-filter"`` (the default — the paper's best performer),
-        ``"fastsv"`` (TV-opt with FastSV min-hooking connectivity),
         ``"fastbcc"`` (skeleton-based, O(n) extra space), ``"auto"``
         (per-graph adaptive choice — see :mod:`repro.core.select`) or
         ``"custom"`` (a hybrid over :data:`CUSTOM_BASE`, meant to be used
@@ -179,8 +178,8 @@ def biconnected_components(
         "cc": "pruned"}`` — see :func:`repro.core.pipeline.list_strategies`.
     backend:
         Execution backend: ``"simulated"`` (default; vectorized + cost
-        model), ``"serial"``, ``"threads"`` or ``"processes"`` (real
-        worker team on shared memory; see :mod:`repro.runtime`).  All
+        model), ``"serial"`` or ``"processes"`` (real worker team on
+        shared memory; see :mod:`repro.runtime`).  All
         backends produce bit-identical labels; real backends additionally
         record measured per-region wall-clock times in ``result.report``.
     p:

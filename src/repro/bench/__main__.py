@@ -25,13 +25,13 @@ The abl-* experiments enumerate the stage/strategy registry
                 (repro.service; see docs/service.md); writes
                 results/BENCH_service.json (v4)
   runtime       execution backends: kernel + end-to-end wall-clock across
-                serial/threads/processes at p in {1,2,4} (docs/runtime.md);
+                serial/processes at p in {1,2,4} (docs/runtime.md);
                 writes results/BENCH_runtime.json
   scale         cluster scale-out: shard x client x batch sweep through the
                 sharded front-end with element-wise verification against a
                 single engine (repro.cluster; see docs/cluster.md);
                 writes results/BENCH_scale.json
-  variants      fastbcc/fastsv vs the paper set head to head (wall +
+  variants      fastbcc vs the paper set head to head (wall +
                 simulated, partition-checked) and the algorithm="auto"
                 selector audited against measured winners
                 (docs/algorithms.md); writes results/BENCH_variants.json

@@ -819,11 +819,11 @@ def run_dense(p: int = 12, seed: int = 42, n: int = 1500) -> list[AblationRow]:
 
 
 # --------------------------------------------------------------------- #
-# algorithm variants (docs/algorithms.md): fastbcc/fastsv vs the paper set
+# algorithm variants (docs/algorithms.md): fastbcc vs the paper set
 
 
 #: Variants measured head to head by :func:`run_variants`.
-VARIANT_ALGORITHMS = ("tv-opt", "tv-filter", "fastbcc", "fastsv")
+VARIANT_ALGORITHMS = ("tv-opt", "tv-filter", "fastbcc")
 
 #: (family label, m/n density) grid: below, at, and well past the paper's
 #: m = 4n tv-filter fallback line.
@@ -939,7 +939,7 @@ def run_runtime_bench(
     kernel_n: int = 1_000_000,
     seed: int = 42,
     ps=(1, 2, 4),
-    backends=("serial", "threads", "processes"),
+    backends=("serial", "processes"),
     repeats: int = 3,
 ):
     """Measure the execution backends: kernel and end-to-end wall-clock.

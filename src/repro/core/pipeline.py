@@ -139,7 +139,7 @@ class AlgorithmSpec:
         ratio per call; ``None`` disables the fallback.
     in_figures:
         Whether the algorithm belongs to the paper's fig3/fig4 sweep.
-        Post-paper variants (fastbcc, fastsv) register with ``False`` so
+        Post-paper variants (fastbcc) register with ``False`` so
         the figure benches — and the figures-guard baseline — keep exactly
         the paper's algorithm set.
     """

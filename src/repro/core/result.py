@@ -43,7 +43,7 @@ class BCCResult:
         additionally holds the measured per-region wall-clock seconds.
     backend:
         Name of the execution backend that produced the result
-        (``"simulated"``, ``"serial"``, ``"threads"`` or ``"processes"``).
+        (``"simulated"``, ``"serial"`` or ``"processes"``).
         Every backend yields bit-identical ``edge_labels``.
     """
 

@@ -45,9 +45,7 @@ __all__ = [
 ]
 
 #: Candidate pool, in deterministic tie-break order.  tv-smp is excluded
-#: (dominated by tv-opt on every metric — paper §3.2); fastsv is excluded
-#: (same pipeline as tv-opt with a different step-6 kernel; it never beats
-#: both tv-opt and fastbcc at once on either objective).
+#: (dominated by tv-opt on every metric — paper §3.2).
 AUTO_CANDIDATES = ("tv-opt", "tv-filter", "fastbcc")
 
 OBJECTIVES = ("wall", "simulated")

@@ -360,22 +360,6 @@ def _cc_pruned(ctx):
 
 @strategy(
     "cc",
-    "fastsv",
-    requires=("aux",),
-    description="TV step 6 with FastSV min-hooking instead of SV grafting",
-)
-def _cc_fastsv(ctx):
-    g, aux, machine = ctx.g, ctx.aux, ctx.machine
-    labels = np.full(g.m, -1, dtype=np.int64)
-    cc = fastsv(aux.num_vertices, aux.au, aux.av, machine)
-    ccl = cc.labels[: g.n]
-    inside = np.flatnonzero(ctx.consider)
-    labels[inside] = cc.labels[aux.aux_id_of_edge[inside]]
-    _finish_labels(ctx, labels, ccl)
-
-
-@strategy(
-    "cc",
     "vertex",
     requires=("skeleton",),
     knobs=("connectivity",),
@@ -465,22 +449,6 @@ register_algorithm(
 # post-paper variants (excluded from the fig3/fig4 sweep by in_figures=False;
 # the figures-guard baseline pins exactly the paper's algorithm set)
 
-
-register_algorithm(
-    AlgorithmSpec(
-        name="fastsv",
-        strategies={
-            "spanning": "traversal",
-            "filter": "none",
-            "euler": "prefix",
-            "lowhigh": "sweep",
-            "label": "aux",
-            "cc": "fastsv",
-        },
-        in_figures=False,
-        description="TV-opt with FastSV min-hooking connectivity in step 6 (arXiv:1910.05971)",
-    )
-)
 
 register_algorithm(
     AlgorithmSpec(

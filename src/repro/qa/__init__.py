@@ -2,7 +2,7 @@
 
 The repo computes the same answer several ways — registry-driven TV
 pipelines (:mod:`repro.core.pipeline`), the incremental query service
-(:mod:`repro.service`), and four execution backends including real forked
+(:mod:`repro.service`), and three execution backends including real forked
 processes (:mod:`repro.runtime`).  This package is the standing harness
 that cross-checks all of them:
 

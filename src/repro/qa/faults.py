@@ -13,7 +13,7 @@ coin decides whether to run the real body or fail first:
     process backend, where it exercises dead-worker detection, pipe
     drain, respawn, and shared-memory cleanup.  As a safety net the
     injected body refuses to ``_exit`` when it finds itself in the main
-    process (serial/thread backends) and raises instead.
+    process (serial backend) and raises instead.
 
 Decisions are a pure function of ``(plan.seed, call_index, rank)``, so a
 failing schedule replays exactly.  The injected body and the plan are

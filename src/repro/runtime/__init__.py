@@ -1,21 +1,18 @@
 """Pluggable execution runtime: one backend interface for the whole pipeline.
 
 The paper's experiments run on a real SMP (POSIX threads + software
-barriers on a Sun E4500); the reproduction historically had three
-disconnected execution worlds — the simulated cost model, a GIL-bound
-thread executor, and plain vectorized numpy.  This package unifies them
-behind one substrate:
+barriers on a Sun E4500).  This package runs the same block-partitioned
+kernels on one substrate with three backends:
 
 ========== ===================================================== ==========
 backend    execution                                             speedup
 ========== ===================================================== ==========
 simulated  vectorized numpy, cost model only (no team)           modeled
 serial     the kernels, one in-process worker, rank order        none
-threads    persistent worker threads + ``threading.Barrier``     GIL-bound
 processes  worker processes on ``multiprocessing.shared_memory`` real
 ========== ===================================================== ==========
 
-All four produce bit-identical results; see :mod:`repro.runtime.kernels`
+All three produce bit-identical results; see :mod:`repro.runtime.kernels`
 for why.  The active team is published via :func:`active_team` so deeply
 nested primitives can dispatch without signature changes.
 """
@@ -23,7 +20,6 @@ nested primitives can dispatch without signature changes.
 from .context import active_team, current_team
 from .process import ProcessTeam
 from .team import BACKEND_NAMES, BACKENDS, SerialTeam, Team, block_range, make_team
-from .threads import ThreadTeam
 
 #: kernels are re-exported lazily: they depend on repro.primitives (for
 #: the shared result classes), and the primitives import
@@ -41,7 +37,6 @@ def __getattr__(name):
 __all__ = [
     "Team",
     "SerialTeam",
-    "ThreadTeam",
     "ProcessTeam",
     "BACKENDS",
     "BACKEND_NAMES",

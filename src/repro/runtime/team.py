@@ -210,17 +210,13 @@ _register("serial", SerialTeam)
 
 # BACKEND_NAMES is the user-facing choice list; "simulated" maps to no
 # team at all (pure cost-model execution) and is resolved by the pipeline.
-BACKEND_NAMES = ("simulated", "serial", "threads", "processes")
+BACKEND_NAMES = ("simulated", "serial", "processes")
 
 
 def make_team(backend: str, p: int = 1, **kwargs) -> Team:
     """Construct a team for ``backend`` (one of :data:`BACKENDS`)."""
-    # late imports keep `import repro.runtime.team` free of thread/process
+    # a late import keeps `import repro.runtime.team` free of process
     # machinery; the registry self-populates on first construction.
-    if backend == "threads" and "threads" not in BACKENDS:
-        from .threads import ThreadTeam
-
-        _register("threads", ThreadTeam)
     if backend == "processes" and "processes" not in BACKENDS:
         from .process import ProcessTeam
 

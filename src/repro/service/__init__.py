@@ -24,6 +24,10 @@ Quick start::
     eng.query("net", "same_bcc", u=3, v=17)
     eng.add_edges("net", [(3, 999)])          # lazy: reindexed on next query
     eng.query("net", "is_articulation", v=3)
+    eng.query("net", "same_bcc_many", pairs=[[3, 17], [5, 40]])  # one kernel call
+
+Point ops (:data:`QUERY_OPS`) and batched ops (:data:`BATCH_OPS`) go
+through the one ``query`` method.
 
 CLI: ``python -m repro workload gen|run`` (see docs/service.md).
 """

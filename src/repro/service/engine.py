@@ -2,11 +2,12 @@
 
 A :class:`ServiceEngine` owns a :class:`~repro.service.store.GraphStore`
 and serves point queries (:data:`QUERY_OPS`) and batched queries
-(:data:`BATCH_OPS`, one vectorized kernel call per batch) against
-per-graph :class:`~repro.service.index.BCCIndex` instances.  Indexes are cached in an
-LRU keyed by graph *fingerprint*: replacing a graph with a previously seen
-edge set (an update that reverts, or a no-op batch) re-hits the cache
-without recomputation.
+(:data:`BATCH_OPS`, one vectorized kernel call per batch) through one
+:meth:`~ServiceEngine.query` method against per-graph
+:class:`~repro.service.index.BCCIndex` instances.  Indexes are cached in
+an LRU keyed by graph *fingerprint*: replacing a graph with a previously
+seen edge set (an update that reverts, or a no-op batch) re-hits the
+cache without recomputation.
 
 Updates are lazy.  ``add_edges``/``remove_edges`` replace the stored
 graph and append the effective delta — classified at write time — to a
@@ -53,8 +54,11 @@ the paper's Fig. 4 step breakdowns.
 The engine reports through a :class:`repro.obs.Telemetry`: every cache
 hit/miss, catch-up, update, query, stale hit, and snapshot swap is
 emitted as an instant event, and build/extend/query work runs inside
-spans.  Each catch-up — sync or background, patch or full build — runs
-through one function and emits one ``index.build`` event carrying its
+spans.  The engine counts its events on a private telemetry that
+forwards each one to the telemetry it was given, so engines that share
+one (or one ``Machine``) never count each other's events.  Each
+catch-up — sync or background, patch or full build — runs through one
+function and emits one ``index.build`` event carrying its
 strategy, whether a delta chain was pending, the chain length, and its
 ``perf_counter`` wall seconds.  The public :attr:`ServiceEngine.stats`
 view (:class:`EngineStats`, one documented field per counter) is
@@ -228,6 +232,16 @@ class _CatchUpSink(Sink):
             self._stats = EngineStats()
 
 
+class _Forward(Sink):
+    """Passes each of an engine's events on to the telemetry it reports to."""
+
+    def __init__(self, telemetry: Telemetry):
+        self.telemetry = telemetry
+
+    def on_event(self, name, path, t_ns, attrs) -> None:
+        self.telemetry.event(name, **attrs)
+
+
 def _no_region(label: str):
     """The background worker's stand-in for :meth:`ServiceEngine._region`."""
     return nullcontext()
@@ -278,8 +292,11 @@ class ServiceEngine:
             self.telemetry = machine.telemetry
         else:
             self.telemetry = Telemetry()
-        self._counters = self.telemetry.add_sink(CounterSink())
-        self._catch_ups = self.telemetry.add_sink(_CatchUpSink())
+        self._counters = CounterSink()
+        self._catch_ups = _CatchUpSink()
+        self._events = Telemetry(
+            [self._counters, self._catch_ups, _Forward(self.telemetry)]
+        )
         self._cache: OrderedDict[str, BCCIndex] = OrderedDict()
         self._logs: dict[str, DeltaLog] = {}
         self.maintenance = maintenance
@@ -305,7 +322,7 @@ class ServiceEngine:
                 )
             self._scheduler = RebuildScheduler(
                 self._background_rebuild,
-                telemetry=self.telemetry,
+                telemetry=self._events,
                 coalesce_s=self.coalesce_ms / 1000.0,
                 max_pending=max_pending_rebuilds,
                 clock=self._clock,
@@ -361,9 +378,9 @@ class ServiceEngine:
         if idx is not None:
             with self._swap_lock:
                 self._cache.move_to_end(entry.fingerprint)
-            self.telemetry.event("cache.hit")
+            self._events.event("cache.hit")
         else:
-            self.telemetry.event("cache.miss")
+            self._events.event("cache.miss")
             idx = self._catch_up(name, entry, self._region, self.machine)
             self._cache_put(idx)
         self._install(name, idx, entry)
@@ -373,12 +390,12 @@ class ServiceEngine:
         """Serve the snapshot; schedule revalidation instead of rebuilding."""
         snap = self._snapshots.get(name)
         if snap is not None and snap.fingerprint == entry.fingerprint:
-            self.telemetry.event("cache.hit")
+            self._events.event("cache.hit")
             return snap.index
         cached = self._cache.get(entry.fingerprint)
         if cached is not None:
             # content seen before (revert / no-op churn): instant swap
-            self.telemetry.event("cache.hit")
+            self._events.event("cache.hit")
             self._install(name, cached, entry)
             return cached
         if snap is None:
@@ -389,10 +406,10 @@ class ServiceEngine:
             self.staleness_budget_ms is not None
             and age_ms > self.staleness_budget_ms
         ):
-            self.telemetry.event("rebuild.force_sync")
+            self._events.event("rebuild.force_sync")
             return self._index_sync(name, entry)
         self._max_staleness_ms = max(self._max_staleness_ms, age_ms)
-        self.telemetry.event("index.stale_hit")
+        self._events.event("index.stale_hit")
         # ensure a revalidation is in flight (re-tries after a rejection)
         self._scheduler.schedule(name)
         return snap.index
@@ -409,7 +426,7 @@ class ServiceEngine:
             self._cache.move_to_end(idx.fingerprint)
             while len(self._cache) > self.cache_size:
                 self._cache.popitem(last=False)
-                self.telemetry.event("cache.evict")
+                self._events.event("cache.evict")
 
     def _install(self, name: str, idx: BCCIndex, entry, inline: bool = True) -> None:
         """Atomically publish ``idx`` as ``name``'s snapshot of ``entry``.
@@ -487,7 +504,7 @@ class ServiceEngine:
         swap_ms = max(now - job.queued_at, 0.0) * 1000.0
         stale_ms = max(stale_s, 0.0) * 1000.0
         self._max_staleness_ms = max(self._max_staleness_ms, stale_ms)
-        self.telemetry.event(
+        self._events.event(
             "rebuild.swap",
             swap_latency_ms=round(swap_ms, 3),
             staleness_ms=round(stale_ms, 3),
@@ -535,7 +552,7 @@ class ServiceEngine:
                     machine=machine,
                     fingerprint=entry.fingerprint,
                 )
-        self.telemetry.event(
+        self._events.event(
             "index.build",
             strategy=strategy,
             chain=deltas > 0,
@@ -580,15 +597,15 @@ class ServiceEngine:
                 classification=classification,
             )
         )
-        self.telemetry.event("delta.append", op=classification)
+        self._events.event("delta.append", op=classification)
 
     def add_edges(self, name: str, pairs) -> int:
         """Add a batch of edges to ``name``; returns the effective count."""
         entry = self.store.entry(name)
         ng, au, av = upd.apply_add_edges(entry.graph, pairs)
-        self.telemetry.event("update")
+        self._events.event("update")
         if au.size == 0:
-            self.telemetry.event("update.noop")
+            self._events.event("update.noop")
             return 0
         new_entry = self.store.replace(name, ng)
         self._log_delta(name, entry, "add", ng, new_entry, au, av)
@@ -600,9 +617,9 @@ class ServiceEngine:
         """Remove a batch of edges from ``name``; returns the effective count."""
         entry = self.store.entry(name)
         ng, removed = upd.apply_remove_edges(entry.graph, pairs)
-        self.telemetry.event("update")
+        self._events.event("update")
         if removed.size == 0:
-            self.telemetry.event("update.noop")
+            self._events.event("update.noop")
             return 0
         new_entry = self.store.replace(name, ng)
         self._log_delta(name, entry, "remove", ng, new_entry, removed, None)
@@ -615,45 +632,39 @@ class ServiceEngine:
     # ------------------------------------------------------------------ #
 
     def query(self, name: str, op: str, freshness: str = "any", **params):
-        """Answer one point query against the (lazily refreshed) index.
+        """Answer one point query (:data:`QUERY_OPS`) or one batched query
+        (:data:`BATCH_OPS`) against the (lazily refreshed) index.
+
+        The index is resolved (cache / replay / rebuild — or snapshot
+        under async maintenance) once, so every item of a batch answers
+        from the *same* consistent index.  The kernel runs inside one
+        ``Service-query`` span; the simulated machine is charged the
+        per-item cost times the item count (1 for a point op, the length
+        of the op's items parameter for a batched op), and the counter
+        sink records that count, so per-item stats survive batching.  A
+        batched op returns the kernel's numpy result — element-wise
+        identical to issuing each item as a point query.
 
         ``freshness`` only matters under ``rebuild_mode="async"``:
         ``"any"`` serves the installed snapshot (possibly stale, never a
         torn index), ``"fresh"`` blocks for an exact resolve.
         """
-        if op not in QUERY_OPS:
-            raise ValueError(f"unknown query op {op!r}; choose from {sorted(QUERY_OPS)}")
-        return self._answer(name, op, freshness, 1, QUERY_OPS[op], params)
-
-    def query_many(self, name: str, op: str, freshness: str = "any", **params):
-        """Answer one *batched* query in a single vectorized kernel call.
-
-        The index is resolved (cache / replay / rebuild — or snapshot
-        under async maintenance) once for the whole batch, so every item
-        answers from the *same* consistent index; the simulated machine
-        is charged the per-item cost times the batch size under one
-        ``Service-query`` region entry, and the counter sink records the
-        item count (so per-item stats survive batching).  Returns the
-        kernel's numpy result — element-wise identical to issuing each
-        item as a point query.
-        """
-        if op not in BATCH_OPS:
+        if op in QUERY_OPS:
+            count, per_item = 1, QUERY_OPS[op]
+        elif op in BATCH_OPS:
+            items_key, per_item = BATCH_OPS[op]
+            count = len(params.get(items_key, ()))
+        else:
             raise ValueError(
-                f"unknown batch query op {op!r}; choose from {sorted(BATCH_OPS)}"
+                f"unknown query op {op!r}; choose from "
+                f"{sorted(QUERY_OPS) + sorted(BATCH_OPS)}"
             )
-        items_key, per_item = BATCH_OPS[op]
-        count = len(params.get(items_key, ()))
-        return self._answer(name, op, freshness, count, per_item, params)
-
-    def _answer(self, name, op, freshness, count, per_item, params):
-        """Resolve the index once, then run ``op``'s kernel inside the
-        ``Service-query`` span (charged ``count`` items of ``per_item``)."""
         idx = self.index_for(name, freshness=freshness)
         with self._region("Service-query"):
             if self.machine is not None and count:
                 self.machine.sequential(count, per_item)
             answer = getattr(idx, op)(**params)
-        self.telemetry.event("query", op=op, count=count)
+        self._events.event("query", op=op, count=count)
         return answer
 
     def apply(self, name: str, op: dict, freshness: str = "any"):
@@ -672,8 +683,8 @@ class ServiceEngine:
                       if k not in ("op", "graph", "tenant", "seq")}
             return self.query(name, kind, freshness=freshness, **params)
         if kind in BATCH_OPS:
-            return self.query_many(name, kind, freshness=freshness,
-                                   **op.get("params", {}))
+            return self.query(name, kind, freshness=freshness,
+                              **op.get("params", {}))
         if kind == "add_edges":
             return self.add_edges(name, op["edges"])
         if kind == "remove_edges":

@@ -151,7 +151,7 @@ def predict_patch_cost_s(
 def predict_full_cost_s(algorithm: str, n: int, m: int, p: int = 1) -> float:
     """Predicted seconds of one full rebuild with ``algorithm`` on G(n, m).
 
-    Unmodelled algorithm names (fastsv, tv-smp, sequential, custom
+    Unmodelled algorithm names (tv-smp, sequential, custom
     registrations) are priced as tv-opt — close enough to rank a patch
     chain against a recompute.
     """

@@ -30,7 +30,8 @@ keeps a frozen fake clock from wedging the thread.
 
 Telemetry events (``rebuild.queued`` / ``rebuild.coalesced`` /
 ``rebuild.reject`` / ``rebuild.cancelled`` / ``rebuild.error``) are
-emitted on the telemetry the engine shares with the scheduler —
+emitted on the telemetry the engine hands the scheduler (its own event
+telemetry, which counts them and forwards them to the shared one) —
 ``Telemetry.event`` appends to sinks under the GIL, which is safe from
 the worker thread; spans/machines are not, so the runner must not open
 spans or charge a machine.

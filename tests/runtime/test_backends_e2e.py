@@ -14,7 +14,7 @@ from repro.graph import Graph, generators as gen
 from repro.runtime import make_team
 from tests.strategies import driver_graphs
 
-ALL_BACKENDS = ["simulated", "serial", "threads", "processes"]
+ALL_BACKENDS = ["simulated", "serial", "processes"]
 
 
 @pytest.mark.parametrize("backend", ALL_BACKENDS)
@@ -38,7 +38,7 @@ def test_simulated_time_is_backend_independent(backend):
     assert res.report.totals.as_dict() == base.report.totals.as_dict()
 
 
-@pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+@pytest.mark.parametrize("backend", ["serial", "processes"])
 def test_real_backends_record_wall_clock(backend):
     g = gen.random_connected_gnm(300, 900, seed=2)
     res = repro.biconnected_components(g, "tv-filter", backend=backend, p=2)
@@ -52,10 +52,10 @@ def test_real_backends_record_wall_clock(backend):
 
 def test_caller_supplied_team_is_not_closed():
     g = gen.random_connected_gnm(200, 600, seed=6)
-    with make_team("threads", 2) as team:
+    with make_team("processes", 2) as team:
         r1 = repro.biconnected_components(g, "tv-opt", team=team)
         r2 = repro.biconnected_components(g, "tv-filter", team=team)
-        assert r1.backend == "threads" and r2.backend == "threads"
+        assert r1.backend == "processes" and r2.backend == "processes"
         ref = repro.biconnected_components(g, algorithm="sequential")
         assert r1.same_partition(ref) and r2.same_partition(ref)
 
@@ -73,10 +73,18 @@ def test_unknown_backend_rejected():
         repro.biconnected_components(g, backend="quantum")
 
 
+def test_removed_threads_backend_rejected():
+    g = gen.path_graph(5)
+    with pytest.raises(ValueError, match="unknown backend"):
+        repro.biconnected_components(g, backend="threads")
+    with pytest.raises(ValueError, match="unknown backend"):
+        make_team("threads", 2)
+
+
 def test_sequential_rejects_backend():
     g = gen.path_graph(5)
     with pytest.raises(TypeError):
-        repro.biconnected_components(g, algorithm="sequential", backend="threads")
+        repro.biconnected_components(g, algorithm="sequential", backend="serial")
 
 
 def test_fallback_path_keeps_backend():

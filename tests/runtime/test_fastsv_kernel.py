@@ -78,7 +78,7 @@ class TestFastSVProperty:
 # --------------------------------------------------------------------- #
 # fixed-seed sweeps over the real backends
 
-REAL_BACKENDS = ["serial", "threads", "processes"]
+REAL_BACKENDS = ["serial", "processes"]
 
 
 @pytest.mark.parametrize("backend", REAL_BACKENDS)

@@ -4,7 +4,7 @@ The contract the whole backend refactor rests on: for every backend and
 every worker count, a kernel produces *exactly* the arrays the vectorized
 primitive produces, and charges *exactly* the same simulated operations.
 Hypothesis drives the serial backend (cheap to spin up, grain 0 so every
-size dispatches); fixed-seed parametrized tests sweep threads/processes.
+size dispatches); fixed-seed parametrized tests sweep serial/processes.
 """
 
 import numpy as np
@@ -94,7 +94,7 @@ class TestBFSProperty:
 # --------------------------------------------------------------------- #
 # fixed-seed sweeps over the real backends
 
-REAL_BACKENDS = ["serial", "threads", "processes"]
+REAL_BACKENDS = ["serial", "processes"]
 
 
 @pytest.mark.parametrize("backend", REAL_BACKENDS)

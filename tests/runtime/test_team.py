@@ -79,6 +79,57 @@ class TestSerialTeam:
         with pytest.raises(ValueError):
             SerialTeam(0)
 
+    # the Team contract, on the reference backend
+
+    def test_parallel_for_covers_range_exactly_once(self):
+        with SerialTeam(4) as team:
+            hits = np.zeros(103, dtype=np.int64)
+
+            def body(rank, lo, hi):
+                hits[lo:hi] += 1
+
+            team.parallel_for(103, body)
+            assert (hits == 1).all()
+
+    def test_extra_args_passed_through(self):
+        with SerialTeam(2) as team:
+            x = np.arange(10, dtype=np.int64)
+            out = np.zeros(10, dtype=np.int64)
+            team.parallel_for(10, _scale, x, out, 3)
+            np.testing.assert_array_equal(out, x * 3)
+
+    def test_single_exception_propagates_as_itself(self):
+        with SerialTeam(2) as team:
+            with pytest.raises(KeyError, match="only rank 0"):
+                team.parallel_for(4, _raise_rank0)
+
+    def test_empty_range(self):
+        with SerialTeam(3) as team:
+            called = []
+
+            def body(rank, lo, hi):  # pragma: no cover - must not run
+                called.append(rank)
+
+            team.parallel_for(0, body)
+            assert called == []
+
+    def test_more_workers_than_items(self):
+        with SerialTeam(8) as team:
+            hits = np.zeros(3, dtype=np.int64)
+
+            def body(rank, lo, hi):
+                hits[lo:hi] += 1
+
+            team.parallel_for(3, body)
+            assert (hits == 1).all()
+
+    def test_share_and_release_are_inprocess_noops(self):
+        with SerialTeam(2) as team:
+            x = np.arange(6, dtype=np.int64)
+            shared = team.share(x)
+            np.testing.assert_array_equal(shared, x)
+            team.release(shared)  # must not raise
+
 
 # module-level bodies: the process backend pickles them by reference
 def _fill_rank(rank, lo, hi, out):
@@ -156,9 +207,9 @@ class TestProcessTeam:
 
 class TestRegistry:
     def test_backend_names_cover_cli_choices(self):
-        assert BACKEND_NAMES == ("simulated", "serial", "threads", "processes")
+        assert BACKEND_NAMES == ("simulated", "serial", "processes")
 
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
+    @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_make_team_round_trip(self, backend):
         with make_team(backend, 2) as team:
             assert team.name == backend

@@ -7,8 +7,10 @@ loops, and repeated items.  Since the scalar methods are now size-1
 wrappers over the kernels, the property is checked two ways — batch-of-k
 against k batches-of-1 (wrapper consistency) and against an independent
 ``tarjan_bcc``/``blocks_of_vertex`` reference (kernel correctness).
-Engine-level tests pin the batching contract: one index resolve, one
-delta replay, one ``Service-query`` region, per-item counter stats.
+The property also runs every batched op through the engine's one
+``query`` method against the per-item point queries.  Engine-level tests
+pin the batching contract: one index resolve, one delta replay, one
+``Service-query`` region, per-item counter stats.
 """
 
 import numpy as np
@@ -66,6 +68,30 @@ def check_batch_equals_scalar(g: Graph, idx: BCCIndex, pairs: np.ndarray) -> Non
     np.testing.assert_array_equal(mask[verts], idx.is_articulation_many(verts))
 
 
+def check_engine_batch_equals_point(g: Graph, pairs: np.ndarray) -> None:
+    """One engine ``query`` per batched op answers what its items answer
+    as point queries through the same method."""
+    eng = ServiceEngine()
+    eng.put_graph("g", g)
+    plist, verts = pairs.tolist(), np.unique(pairs).tolist()
+    comp = [eng.query("g", "component_of_edge", u=u, v=v) for u, v in plist]
+    point = {
+        "same_bcc_many": [eng.query("g", "same_bcc", u=u, v=v) for u, v in plist],
+        "is_bridge_many": [eng.query("g", "is_bridge", u=u, v=v) for u, v in plist],
+        "component_of_edge_many": [-1 if c is None else c for c in comp],
+        "is_articulation_many": [eng.query("g", "is_articulation", v=v) for v in verts],
+    }
+    assert set(BATCH_OPS) == set(point) | {"classify_edges"}
+    items = {"pairs": plist, "vs": verts}
+    for op, (items_key, _) in BATCH_OPS.items():
+        got = eng.query("g", op, **{items_key: items[items_key]})
+        if op == "classify_edges":
+            np.testing.assert_array_equal(got["block"], point["component_of_edge_many"])
+            np.testing.assert_array_equal(got["is_bridge"], point["is_bridge_many"])
+        else:
+            np.testing.assert_array_equal(got, point[op], err_msg=op)
+
+
 def check_same_bcc_against_reference(g: Graph, idx: BCCIndex, pairs: np.ndarray) -> None:
     """Independent depth check: shared-block via blocks_of intersection."""
     res = tarjan_bcc(g)
@@ -99,6 +125,7 @@ def test_property_batch_matches_scalar(g, seed, k):
     idx = BCCIndex.build(g)
     pairs = random_pairs(g, np.random.default_rng(seed), k)
     check_batch_equals_scalar(g, idx, pairs)
+    check_engine_batch_equals_point(g, pairs)
     check_same_bcc_against_reference(g, idx, pairs)
 
 
@@ -154,12 +181,12 @@ class TestKernelEdges:
 
 
 class TestEngineBatch:
-    def test_query_many_matches_apply_and_scalar(self):
+    def test_batched_query_matches_apply_and_point(self):
         g = gen.random_connected_gnm(60, 150, seed=3)
         eng = ServiceEngine()
         eng.put_graph("g", g)
         pairs = random_pairs(g, np.random.default_rng(1), 16).tolist()
-        got = eng.query_many("g", "same_bcc_many", pairs=pairs)
+        got = eng.query("g", "same_bcc_many", pairs=pairs)
         np.testing.assert_array_equal(
             got, [eng.query("g", "same_bcc", u=u, v=v) for u, v in pairs]
         )
@@ -169,8 +196,11 @@ class TestEngineBatch:
     def test_unknown_batch_op(self):
         eng = ServiceEngine()
         eng.put_graph("g", gen.cycle_graph(4))
-        with pytest.raises(ValueError, match="batch"):
-            eng.query_many("g", "same_bcc", pairs=[[0, 1]])
+        with pytest.raises(ValueError, match="unknown query op 'same_bcc_all'"):
+            eng.query("g", "same_bcc_all", pairs=[[0, 1]])
+
+    def test_one_query_entry_point(self):
+        assert not hasattr(ServiceEngine, "query_many")
 
     def test_replays_pending_deltas_exactly_once(self):
         g = gen.random_connected_gnm(40, 90, seed=2)
@@ -180,12 +210,12 @@ class TestEngineBatch:
         st0 = eng.stats
         assert (st0.rebuilds, st0.rebuilds_incremental) == (1, 0)
         eng.add_edges("g", [(0, 39), (1, 38)])  # lazy: no replay yet
-        out = eng.query_many("g", "is_bridge_many", pairs=[[0, 39], [1, 38]])
+        out = eng.query("g", "is_bridge_many", pairs=[[0, 39], [1, 38]])
         assert not out.any()  # both sit on new cycles through the old graph
         st1 = eng.stats
         assert st1.rebuilds == 1  # extended, not rebuilt
         assert st1.rebuilds_incremental == 1  # replayed exactly once
-        eng.query_many("g", "same_bcc_many", pairs=[[0, 39]])
+        eng.query("g", "same_bcc_many", pairs=[[0, 39]])
         st2 = eng.stats
         assert st2.rebuilds_incremental == 1  # second batch hits cache
         assert st2.cache_hits == st1.cache_hits + 1
@@ -193,8 +223,8 @@ class TestEngineBatch:
     def test_per_item_counter_stats(self):
         eng = ServiceEngine()
         eng.put_graph("g", gen.cycle_graph(8))
-        eng.query_many("g", "same_bcc_many", pairs=[[0, 1], [2, 3], [4, 5]])
-        eng.query_many("g", "is_articulation_many", vs=[0, 1])
+        eng.query("g", "same_bcc_many", pairs=[[0, 1], [2, 3], [4, 5]])
+        eng.query("g", "is_articulation_many", vs=[0, 1])
         eng.query("g", "is_articulation", v=0)
         st = eng.stats
         assert st.queries == 6  # 3 + 2 + 1 items, not 3 records
@@ -208,7 +238,7 @@ class TestEngineBatch:
         eng.put_graph("g", gen.cycle_graph(8))
         eng.query("g", "num_components")  # index build outside the probe
         before = len(sink.durations_ns.get("Service-query", []))
-        eng.query_many("g", "same_bcc_many", pairs=[[0, 1]] * 100)
+        eng.query("g", "same_bcc_many", pairs=[[0, 1]] * 100)
         assert len(sink.durations_ns["Service-query"]) == before + 1
 
     def test_machine_charged_per_item(self):
@@ -219,7 +249,7 @@ class TestEngineBatch:
             eng.put_graph("g", gen.cycle_graph(8))
             eng.query("g", "num_components")
             t0 = eng.machine.time_s
-            eng.query_many("g", "same_bcc_many", pairs=items)
+            eng.query("g", "same_bcc_many", pairs=items)
             times.append(eng.machine.time_s - t0)
         one, four = times
         assert four == pytest.approx(4 * one)

@@ -111,7 +111,7 @@ class TestPredictCosts:
 
     def test_full_cost_positive_and_handles_unmodelled_names(self):
         assert predict_full_cost_s("tv-filter", 1000, 2000) > 0
-        assert predict_full_cost_s("fastsv", 1000, 2000) > 0
+        assert predict_full_cost_s("tv-smp", 1000, 2000) > 0
         assert predict_full_cost_s("auto", 1000, 2000) > 0
 
 

@@ -81,7 +81,7 @@ class AsyncConsistencyMachine(RuleBasedStateMachine):
     def any_answer_is_some_valid_version(self):
         vs = list(range(N))
         nc = self.engine.query("g", "num_components")
-        cuts = self.engine.query_many("g", "is_articulation_many", vs=vs)
+        cuts = self.engine.query("g", "is_articulation_many", vs=vs)
         # each batched answer must be one historical version whole — a mix
         # of two versions would (generically) match none of them
         assert tuple(bool(x) for x in cuts) in {v[1] for v in self.versions}
@@ -90,10 +90,10 @@ class AsyncConsistencyMachine(RuleBasedStateMachine):
     @invariant()
     def fresh_is_bit_identical_to_sync(self):
         vs = list(range(N))
-        fresh = self.engine.query_many(
+        fresh = self.engine.query(
             "g", "is_articulation_many", vs=vs, freshness="fresh"
         )
-        twin = self.sync_engine.query_many("g", "is_articulation_many", vs=vs)
+        twin = self.sync_engine.query("g", "is_articulation_many", vs=vs)
         assert np.array_equal(fresh, twin)
         assert self.engine.query(
             "g", "num_components", freshness="fresh"

@@ -84,18 +84,18 @@ class MaintenanceEquivalenceMachine(RuleBasedStateMachine):
     def fresh_answers_identical_across_maintenance_modes(self):
         vs = list(range(N))
         pairs = [(a, b) for a in range(0, N, 3) for b in range(1, N, 4)]
-        sync_cuts = self.sync.query_many("g", "is_articulation_many", vs=vs)
-        sync_same = self.sync.query_many("g", "same_bcc_many", pairs=pairs)
+        sync_cuts = self.sync.query("g", "is_articulation_many", vs=vs)
+        sync_same = self.sync.query("g", "same_bcc_many", pairs=pairs)
         sync_nc = self.sync.query("g", "num_components")
         for eng in (self.auto, self.full):
             assert np.array_equal(
-                eng.query_many("g", "is_articulation_many", vs=vs,
-                               freshness="fresh"),
+                eng.query("g", "is_articulation_many", vs=vs,
+                          freshness="fresh"),
                 sync_cuts,
             )
             assert np.array_equal(
-                eng.query_many("g", "same_bcc_many", pairs=pairs,
-                               freshness="fresh"),
+                eng.query("g", "same_bcc_many", pairs=pairs,
+                          freshness="fresh"),
                 sync_same,
             )
             assert eng.query("g", "num_components", freshness="fresh") == sync_nc
@@ -125,13 +125,13 @@ def _answer_surface(eng, n):
         eng.query("g", "num_components", freshness="fresh"),
         tuple(
             bool(x)
-            for x in eng.query_many(
+            for x in eng.query(
                 "g", "is_articulation_many", vs=vs, freshness="fresh"
             )
         ),
         tuple(
             bool(x)
-            for x in eng.query_many(
+            for x in eng.query(
                 "g", "same_bcc_many", pairs=pairs, freshness="fresh"
             )
         ),

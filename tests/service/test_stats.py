@@ -14,7 +14,7 @@ import pytest
 
 from repro.cluster.backend import STAT_FIELDS
 from repro.graph import generators as gen
-from repro.obs import Sink
+from repro.obs import CounterSink, Sink, Telemetry
 from repro.service import WorkloadSpec, generate_workload, run_workload
 from repro.service.driver import WorkloadReport
 from repro.service.engine import EngineStats, ServiceEngine
@@ -136,6 +136,50 @@ class TestOneSchema:
         assert not any(isinstance(v, EngineStats) for v in flat.values())
 
 
+class TestSharedTelemetry:
+    """Engines handed one telemetry (directly, or through one machine)
+    count only their own events, and every event still reaches it."""
+
+    def _pair(self, shared_by):
+        if shared_by == "machine":
+            machine = Machine(p=1)
+            return machine.telemetry, [ServiceEngine(machine=machine) for _ in range(2)]
+        tel = Telemetry()
+        return tel, [
+            ServiceEngine(telemetry=tel, rebuild_mode="async", staleness_budget_ms=None)
+            for _ in range(2)
+        ]
+
+    @pytest.mark.parametrize("shared_by", ["machine", "telemetry"])
+    def test_each_engine_counts_only_its_own_events(self, shared_by):
+        tel, (a, b) = self._pair(shared_by)
+        seen = tel.add_sink(CounterSink())
+        builds = tel.add_sink(_BuildEvents())
+        try:
+            for eng in (a, b):
+                eng.put_graph("g", gen.cycle_graph(8))
+            a.query("g", "num_components")
+            a.query("g", "same_bcc_many", pairs=[[0, 1], [2, 3]])
+            a.add_edges("g", [(0, 4)])
+            a.drain()
+            a.query("g", "num_components", freshness="fresh")
+            st_a, st_b = a.stats, b.stats
+        finally:
+            a.close()
+            b.close()
+        assert st_a.queries == 4 and st_a.updates == 1 and st_a.rebuilds == 1
+        assert st_a.rebuilds_incremental == 1
+        assert st_b == EngineStats()
+        # the shared telemetry saw exactly engine a's events, attrs intact
+        assert seen["query"] == 4 and seen["update"] == 1
+        assert seen["cache.miss"] == st_a.cache_misses
+        assert seen["cache.hit"] == st_a.cache_hits
+        assert seen["rebuild.queued"] == st_a.rebuilds_queued
+        assert [(e["strategy"], e["chain"]) for e in builds.events] == [
+            ("full", False), ("incremental-extend", True)
+        ]
+
+
 class TestQuerySpan:
     @pytest.mark.parametrize("simulated", [False, True], ids=["spans", "machine"])
     def test_kernel_runs_inside_query_span(self, simulated, monkeypatch):
@@ -152,7 +196,7 @@ class TestQuerySpan:
 
             monkeypatch.setattr(BCCIndex, op, spy)
         eng.query("g", "same_bcc", u=0, v=1)
-        eng.query_many("g", "same_bcc_many", pairs=[[0, 1]])
+        eng.query("g", "same_bcc_many", pairs=[[0, 1]])
         assert {op for op, _ in calls} == {"same_bcc", "same_bcc_many"}
         assert all(stack == ("Service-query",) for _, stack in calls), calls
 

@@ -74,6 +74,16 @@ class TestBiconnectedComponents:
         with pytest.raises(ValueError, match="unknown algorithm"):
             repro.describe_algorithm("quantum")
 
+    def test_removed_fastsv_algorithm_rejected(self):
+        # FastSV survives only as the connectivity kernel of fastbcc's cc=vertex
+        g = gen.path_graph(4)
+        with pytest.raises(ValueError, match="unknown algorithm 'fastsv'"):
+            biconnected_components(g, algorithm="fastsv")
+        with pytest.raises(ValueError, match="unknown cc strategy 'fastsv'"):
+            biconnected_components(g, "custom", strategies={"cc": "fastsv"})
+        res = biconnected_components(g, "fastbcc", connectivity="fastsv")
+        assert res.same_partition(biconnected_components(g, "sequential"))
+
 
 class TestDerivedQueries:
     def test_articulation_points(self):

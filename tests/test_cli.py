@@ -41,7 +41,7 @@ class TestBcc:
     def test_all_algorithms(self, graph_file, capsys):
         path, _ = graph_file
         for algo in ("sequential", "tv-smp", "tv-opt", "tv-filter",
-                     "fastsv", "fastbcc", "auto", "custom"):
+                     "fastbcc", "auto", "custom"):
             assert main(["bcc", path, "--algorithm", algo]) == 0
 
     def test_strategy_overrides(self, graph_file, capsys):
@@ -435,6 +435,20 @@ class TestBadOptions:
             main(["bcc", path, "--backend", "gpu"])
         assert excinfo.value.code == 2
         assert "invalid choice: 'gpu'" in capsys.readouterr().err
+
+    def test_removed_threads_backend_exits_2(self, graph_file, capsys):
+        path, _ = graph_file
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bcc", path, "--backend", "threads"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'threads'" in capsys.readouterr().err
+
+    def test_removed_fastsv_algorithm_exits_2(self, graph_file, capsys):
+        path, _ = graph_file
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bcc", path, "--algorithm", "fastsv"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'fastsv'" in capsys.readouterr().err
 
     def test_unknown_algorithm_exits_2(self, graph_file, capsys):
         path, _ = graph_file
