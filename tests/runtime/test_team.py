@@ -130,6 +130,28 @@ class TestSerialTeam:
             np.testing.assert_array_equal(shared, x)
             team.release(shared)  # must not raise
 
+    def test_blocks_are_contiguous_and_balanced(self):
+        with SerialTeam(4) as team:
+            blocks = [team.block(r, 10) for r in range(4)]
+            assert blocks == [(0, 3), (3, 6), (6, 8), (8, 10)]
+
+    def test_multiple_exceptions_are_aggregated(self):
+        with SerialTeam(3) as team:
+            with pytest.raises(ExceptionGroup) as excinfo:
+                team.parallel_for(3, _raise_per_rank)
+            msgs = sorted(str(e) for e in excinfo.value.exceptions)
+            assert msgs == ["worker 0 failed", "worker 1 failed", "worker 2 failed"]
+
+    def test_team_reusable_after_raising_body(self):
+        # a raising body must leave no stale errors behind
+        with SerialTeam(4) as team:
+            for _ in range(3):
+                with pytest.raises(ExceptionGroup):
+                    team.parallel_for(8, _raise_per_rank)
+                ok = np.zeros(8, dtype=np.int64)
+                team.parallel_for(8, _fill_rank, ok)
+                np.testing.assert_array_equal(ok, [0, 0, 1, 1, 2, 2, 3, 3])
+
 
 # module-level bodies: the process backend pickles them by reference
 def _fill_rank(rank, lo, hi, out):
