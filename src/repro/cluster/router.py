@@ -32,7 +32,9 @@ Multi-tenancy is enforced at this layer, not in the engines:
   (or ``tenant.reject``) event with the tenant as the ``op`` attribute,
   so the router's :class:`~repro.obs.CounterSink` accumulates
   ``tenant.admit.<tenant>`` breakdowns exactly like the engine's
-  ``per_op`` stats.
+  ``per_op`` stats.  Like an engine, the router counts on a private
+  telemetry that forwards every event to the one it was given, so
+  routers sharing a telemetry never count each other's tenants.
 
 The router is thread-safe: one lock serializes routing (the process
 backend's pipes are single-consumer), which models a single front-end
@@ -47,7 +49,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..graph import Graph
-from ..obs import CounterSink, Telemetry
+from ..obs import CounterSink, ForwardSink, Telemetry
 from ..service.workload import op_item_count
 from .backend import make_backend
 from .frames import gather, split_records
@@ -136,7 +138,8 @@ class ShardRouter:
         self.rebuild_mode = rebuild_mode
         self.maintenance = maintenance
         self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self._counters = self.telemetry.add_sink(CounterSink())
+        self._counters = CounterSink()
+        self._events = Telemetry([self._counters, ForwardSink(self.telemetry)])
         self.backend = make_backend(
             backend,
             num_shards,
@@ -178,7 +181,7 @@ class ShardRouter:
             lru = self._tenant_lru.setdefault(tenant, OrderedDict())
             lru[name] = None
             lru.move_to_end(name)
-            self.telemetry.event("cluster.put", op=tenant)
+            self._events.event("cluster.put", op=tenant)
             if (
                 is_new
                 and self.tenant_graph_budget is not None
@@ -189,7 +192,7 @@ class ShardRouter:
                 self._tenant_evictions[tenant] = (
                     self._tenant_evictions.get(tenant, 0) + 1
                 )
-                self.telemetry.event("tenant.evict", op=tenant)
+                self._events.event("tenant.evict", op=tenant)
             return shard
 
     def remove_graph(self, name: str) -> None:
@@ -271,12 +274,12 @@ class ShardRouter:
                 and spent.get(tenant, 0) + items > self.tenant_batch_quota
             ):
                 rejected[i] = Rejected(tenant, "batch quota exceeded")
-                self.telemetry.event("tenant.reject", op=tenant)
+                self._events.event("tenant.reject", op=tenant)
                 continue
             spent[tenant] = spent.get(tenant, 0) + items
             admitted.append(record)
-            self.telemetry.event("tenant.admit", op=tenant)
-            self.telemetry.event("tenant.items", op=tenant, count=items)
+            self._events.event("tenant.admit", op=tenant)
+            self._events.event("tenant.items", op=tenant, count=items)
         return admitted, rejected
 
     def apply(self, record: dict):

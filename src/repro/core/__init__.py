@@ -19,12 +19,13 @@ from .pipeline import (
     run_pipeline,
     strategy,
 )
-from .result import BCCResult, canonical_edge_labels
+from .result import BCCResult, FilterCertificate, canonical_edge_labels
 from .tarjan import tarjan_bcc
 from .tv import tv_bcc, tv_opt_bcc, tv_smp_bcc
 
 __all__ = [
     "BCCResult",
+    "FilterCertificate",
     "canonical_edge_labels",
     "tarjan_bcc",
     "tv_bcc",

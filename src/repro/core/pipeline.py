@@ -160,7 +160,8 @@ class PipelineContext:
     ``parent``/``level``/``parent_edge``/``roots`` (rooted tree); the
     euler stage produces ``numbering``; the driver derives
     ``tree_mask``/``consider``/``child_of_edge``/``nu_mask`` before the
-    labelling stages; the cc stage writes ``labels``.
+    labelling stages; the cc stage writes ``labels``.  The ``filter=forest``
+    step also sets ``certificate``, which the result carries.
     """
 
     __slots__ = (
@@ -186,6 +187,7 @@ class PipelineContext:
         "sk_v",
         "labels",
         "ccl",
+        "certificate",
     )
 
     def __init__(self, g, machine, knobs):
@@ -565,7 +567,9 @@ def run_pipeline(
             team.telemetry = None
         if owned_team:
             team.close()
-    return BCCResult(g, ctx.labels, name, _maybe_report(machine), backend_name)
+    return BCCResult(
+        g, ctx.labels, name, _maybe_report(machine), backend_name, ctx.certificate
+    )
 
 
 def _maybe_report(machine: Machine):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ..graph import Graph
 from ..smp import MachineReport
 
-__all__ = ["BCCResult", "canonical_edge_labels"]
+__all__ = ["BCCResult", "FilterCertificate", "canonical_edge_labels"]
 
 
 def canonical_edge_labels(labels: np.ndarray) -> np.ndarray:
@@ -23,6 +25,25 @@ def canonical_edge_labels(labels: np.ndarray) -> np.ndarray:
     rank_by_first = np.argsort(np.argsort(first_idx))
     out[:] = rank_by_first[inverse]
     return out
+
+
+class FilterCertificate(NamedTuple):
+    """The sparse certificate tv-filter's Filtering step ran on (§4, Alg. 2).
+
+    T is a BFS tree of G and F a spanning forest of G − T; the paper's
+    theorem says T ∪ F has the same blocks as G, and every edge outside
+    it takes the label of a tree edge.  The service layer keeps this
+    with its index to patch removals of edges outside T ∪ F.
+    """
+
+    #: ``bool[m]``: True on the edges of T ∪ F
+    mask: np.ndarray
+    #: ``bool[m]``: True on the edges of T
+    tree: np.ndarray
+    #: ``int64[n]``: BFS level of each vertex in T
+    level: np.ndarray
+    #: ``int64[n]``: connected-component label of each vertex in F
+    component: np.ndarray
 
 
 class BCCResult:
@@ -45,9 +66,15 @@ class BCCResult:
         Name of the execution backend that produced the result
         (``"simulated"``, ``"serial"`` or ``"processes"``).
         Every backend yields bit-identical ``edge_labels``.
+    certificate:
+        The :class:`FilterCertificate` of the run when its ``filter=forest``
+        step ran, else None (tv-filter's density fallback, every other
+        algorithm, and the incremental service patches that cannot keep it).
     """
 
-    __slots__ = ("graph", "edge_labels", "algorithm", "report", "backend", "_cut_cache")
+    __slots__ = (
+        "graph", "edge_labels", "algorithm", "report", "backend", "certificate", "_cut_cache"
+    )
 
     def __init__(
         self,
@@ -56,6 +83,7 @@ class BCCResult:
         algorithm: str,
         report: MachineReport | None = None,
         backend: str = "simulated",
+        certificate: FilterCertificate | None = None,
     ):
         if np.asarray(edge_labels).shape != (graph.m,):
             raise ValueError("edge_labels must have one entry per edge")
@@ -64,6 +92,7 @@ class BCCResult:
         self.algorithm = algorithm
         self.report = report
         self.backend = backend
+        self.certificate = certificate
         self._cut_cache = None
 
     @property

@@ -29,6 +29,7 @@ from ..smp import Ops
 from .auxgraph import build_auxiliary_graph
 from .lowhigh import low_high
 from .pipeline import AlgorithmSpec, register_algorithm, strategy
+from .result import FilterCertificate
 
 __all__ = ["FilterStats"]
 
@@ -141,6 +142,7 @@ def _filter_forest(ctx):
     machine.parallel(m, Ops(contig=2))
     ctx.tree_mask = tree_mask
     ctx.consider = consider
+    ctx.certificate = FilterCertificate(consider, tree_mask, ctx.level, sv.labels)
     stats_out = ctx.knob("stats_out")
     if stats_out is not None:
         stats_out.append(

@@ -368,8 +368,7 @@ def barabasi_albert(n: int, k: int = 2, seed=0) -> Graph:
     stresses articulation-point detection (hubs are overwhelmingly
     likely to be cut vertices).
 
-    Realized edge count is ``(n - k) * min(k, arrivals so far)``, i.e.
-    ``~ k * n`` for n >> k.
+    Realized edge count is ``(n - k) * k``.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -384,10 +383,10 @@ def barabasi_albert(n: int, k: int = 2, seed=0) -> Graph:
     # the first arrival has someone to attach to
     pool: list[int] = list(range(k))
     for w in range(k, n):
-        # sample k distinct targets by current degree (uniform over pool)
+        # sample k distinct targets by current degree (uniform over pool);
+        # the pool holds every vertex 0..w-1, so k <= w distinct exist
         targets: set[int] = set()
-        want = min(k, len(set(pool)))
-        while len(targets) < want:
+        while len(targets) < k:
             targets.add(pool[int(rng.integers(0, len(pool)))])
         for t in sorted(targets):
             us.append(t)

@@ -7,13 +7,20 @@ to keep (simulated cost attribution, wall clock, counters, or a
 Chrome-trace timeline).  See :mod:`repro.obs.spans` for the model.
 """
 
-from .sinks import ChromeTraceSink, CounterSink, SimulatedCostSink, WallClockSink
+from .sinks import (
+    ChromeTraceSink,
+    CounterSink,
+    ForwardSink,
+    SimulatedCostSink,
+    WallClockSink,
+)
 from .spans import ChargeEvent, Sink, Telemetry
 
 __all__ = [
     "ChargeEvent",
     "ChromeTraceSink",
     "CounterSink",
+    "ForwardSink",
     "Sink",
     "SimulatedCostSink",
     "Telemetry",

@@ -14,6 +14,8 @@ sink                      keeps
 :class:`ChromeTraceSink`   a ``chrome://tracing`` / Perfetto-loadable
                            JSON timeline: main-track spans, per-worker
                            tracks, instant events
+:class:`ForwardSink`       nothing: re-emits every event on another
+                           :class:`~repro.obs.spans.Telemetry`
 ========================= =================================================
 """
 
@@ -22,13 +24,14 @@ from __future__ import annotations
 import json
 from typing import Mapping
 
-from .spans import ChargeEvent, Sink
+from .spans import ChargeEvent, Sink, Telemetry
 
 __all__ = [
     "SimulatedCostSink",
     "WallClockSink",
     "CounterSink",
     "ChromeTraceSink",
+    "ForwardSink",
 ]
 
 
@@ -136,6 +139,22 @@ class CounterSink(Sink):
 
     def reset(self) -> None:
         self.counts = {}
+
+
+class ForwardSink(Sink):
+    """Re-emits each event, same name and attrs, on another telemetry.
+
+    A component that keeps its own counters (a service engine, a shard
+    router) counts on a private :class:`~repro.obs.spans.Telemetry` whose
+    last sink is a ``ForwardSink`` to the telemetry it reports to, so
+    components sharing one telemetry never count each other's events.
+    """
+
+    def __init__(self, telemetry: Telemetry):
+        self.telemetry = telemetry
+
+    def on_event(self, name: str, path: str, t_ns: int, attrs: Mapping) -> None:
+        self.telemetry.event(name, **attrs)
 
 
 class ChromeTraceSink(Sink):

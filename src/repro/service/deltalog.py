@@ -17,8 +17,17 @@ available):
 ``"bridge"``
     A removal of bridge edges only — :func:`~repro.service.updates.shrink_index`
     drops the affected single-edge components in O(m).
+``"filtered"``
+    A removal of non-bridge edges from an index that carries tv-filter's
+    certificate T ∪ F.  By the paper's §4 theorem (Alg. 2) T ∪ F has the
+    same blocks as G, so removing edges outside it leaves every other
+    edge in its block; edges of T ∪ F are first swapped out of it when
+    another BFS parent and another forest edge exist —
+    :func:`~repro.service.updates.shrink_index` decides, and drops them
+    in O(m) or bails to a rebuild.
 ``"structural"``
-    A removal touching non-bridge edges; cycles break, blocks may split.
+    Any other removal: a bridge mixed with non-bridges, or no
+    certificate on hand; cycles may break and blocks may split.
 ``"unknown"``
     No index for the pre-update content was on hand (mid-chain update on
     a never-resolved fingerprint).  Maintenance treats it optimistically
@@ -62,7 +71,9 @@ __all__ = [
 MAX_PENDING_DELTAS = 64
 
 #: Everything a delta entry may be classified as (see module docstring).
-CLASSIFICATIONS = ("intra-block", "cross-block", "bridge", "structural", "unknown")
+CLASSIFICATIONS = (
+    "intra-block", "cross-block", "bridge", "filtered", "structural", "unknown"
+)
 
 
 def classify_add(index: BCCIndex, added_u, added_v) -> str:
@@ -81,12 +92,19 @@ def classify_add(index: BCCIndex, added_u, added_v) -> str:
 def classify_remove(index: BCCIndex, removed_ids) -> str:
     """Classify an edge-removal batch against the pre-update ``index``.
 
-    ``"bridge"`` iff every removed edge is a bridge (the precondition of
-    :func:`~repro.service.updates.shrink_index`), else ``"structural"``.
+    ``"bridge"`` iff every removed edge is a bridge, ``"filtered"`` iff
+    none is and the index carries a certificate (the two batches
+    :func:`~repro.service.updates.shrink_index` can patch; its own guard
+    has the last word), else ``"structural"``.
     """
     removed = np.asarray(removed_ids, dtype=np.int64)
-    if removed.size and bool(index._is_bridge[removed].all()):
+    if removed.size == 0:
+        return "structural"
+    bridges = index._is_bridge[removed]
+    if bridges.all():
         return "bridge"
+    if index.certificate is not None and not bridges.any():
+        return "filtered"
     return "structural"
 
 

@@ -74,7 +74,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 
 from ..graph import Graph
-from ..obs import CounterSink, Sink, Telemetry
+from ..obs import CounterSink, ForwardSink, Sink, Telemetry
 from ..smp import Machine, NullMachine, Ops
 from . import updates as upd
 from .deltalog import MAX_PENDING_DELTAS, DeltaEntry, DeltaLog, classify_add, classify_remove
@@ -232,16 +232,6 @@ class _CatchUpSink(Sink):
             self._stats = EngineStats()
 
 
-class _Forward(Sink):
-    """Passes each of an engine's events on to the telemetry it reports to."""
-
-    def __init__(self, telemetry: Telemetry):
-        self.telemetry = telemetry
-
-    def on_event(self, name, path, t_ns, attrs) -> None:
-        self.telemetry.event(name, **attrs)
-
-
 def _no_region(label: str):
     """The background worker's stand-in for :meth:`ServiceEngine._region`."""
     return nullcontext()
@@ -295,7 +285,7 @@ class ServiceEngine:
         self._counters = CounterSink()
         self._catch_ups = _CatchUpSink()
         self._events = Telemetry(
-            [self._counters, self._catch_ups, _Forward(self.telemetry)]
+            [self._counters, self._catch_ups, ForwardSink(self.telemetry)]
         )
         self._cache: OrderedDict[str, BCCIndex] = OrderedDict()
         self._logs: dict[str, DeltaLog] = {}

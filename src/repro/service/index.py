@@ -312,6 +312,12 @@ class BCCIndex:
         """Number of biconnected components (blocks)."""
         return self.result.num_components
 
+    @property
+    def certificate(self):
+        """The build's :class:`~repro.core.result.FilterCertificate`, kept
+        current through the patches that preserve it; None otherwise."""
+        return self.result.certificate
+
     # ------------------------------------------------------------------ #
     # aggregates (repro info / bench)
     # ------------------------------------------------------------------ #

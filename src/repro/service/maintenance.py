@@ -8,7 +8,9 @@ current stored content.  The registry holds three concrete strategies —
 ``incremental-extend``  patch intra-block edge adds with
                         :func:`~repro.service.updates.extend_index` (O(m)
                         relabel per delta, no recompute)
-``incremental-shrink``  patch bridge removals with
+``incremental-shrink``  patch bridge removals, and removals tv-filter's
+                        certificate can be kept clear of (the §4 theorem:
+                        T ∪ F has the same blocks as G), with
                         :func:`~repro.service.updates.shrink_index`
 ``full``                rebuild from scratch with the engine's algorithm
 ======================  ======================================================
@@ -82,8 +84,8 @@ STRATEGIES: dict[str, MaintenanceStrategy] = {
     "incremental-shrink": MaintenanceStrategy(
         "incremental-shrink",
         frozenset({"remove"}),
-        frozenset({"bridge", "unknown"}),
-        "patch bridge removals via shrink_index",
+        frozenset({"bridge", "filtered", "unknown"}),
+        "patch bridge and filtered removals via shrink_index",
     ),
     "full": MaintenanceStrategy(
         "full", frozenset(), frozenset(), "rebuild from scratch"

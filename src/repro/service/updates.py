@@ -8,7 +8,7 @@ absent ones) return the graph unchanged, so its fingerprint — and any
 cached index — stays valid.
 
 For effective deltas the engine marks the index dirty and recomputes
-lazily on the next query.  Two structural facts let the recompute be
+lazily on the next query.  Three structural facts let the recompute be
 avoided entirely in the common cases (the same spirit as the paper's §4
 filtering insight, which bounds the edges that can matter — at most
 ``2(n-1)`` survive into TV — instead of recomputing over all of them):
@@ -21,19 +21,40 @@ filtering insight, which bounds the edges that can matter — at most
   running any algorithm.
 * **Removing** a bridge deletes a single-edge block and leaves the
   partition of every remaining edge unchanged — :func:`shrink_index`.
+* **Removing** an edge outside tv-filter's certificate T ∪ F (the §4
+  theorem of Alg. 2: for a BFS tree T of G and a spanning forest F of
+  G − T, T ∪ F has the same blocks as G) leaves T a BFS tree and F a
+  spanning forest of what remains, so the certificate still holds and
+  every other edge keeps its block — :func:`shrink_index` again.  The
+  removed edge's block keeps both its endpoints (a non-bridge block has
+  at least three edges), so the articulation set carries over too.
+  The theorem holds for *any* BFS tree (a spanning tree whose levels
+  are the distances from its root) and *any* spanning forest of G − T,
+  so a removed edge of T ∪ F is patched the same way once
+  :func:`refit_certificate` finds a certificate of G that avoids it:
+  another parent one level up for a tree edge's child, and a forest of
+  G − T that does without the removed edges.
 
-Anything else (an edge between blocks, a non-bridge removal) returns None
-and the engine falls back to a full rebuild via the registered algorithm
-(default ``tv-filter``, whose BFS filter keeps the rebuild cheap on dense
-graphs).
+The certificate comes from the index's build (``result.certificate``,
+set only when tv-filter's ``filter=forest`` step ran).  An intra-block
+add keeps it when every added edge joins vertices at most one BFS level
+apart in one F-component — T stays a BFS tree and F still spans; any
+other add, and every bridge removal, drops it, so the next non-bridge
+removal rebuilds and the rebuild brings a fresh certificate.
+
+Anything else (an edge between blocks, a removal the certificate cannot
+be refit around or made without one) returns None and the engine falls
+back to a full rebuild via the registered algorithm (default
+``tv-filter``, whose BFS filter keeps the rebuild cheap on dense graphs).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.result import BCCResult
+from ..core.result import BCCResult, FilterCertificate
 from ..graph import Graph
+from ..primitives.connectivity import shiloach_vishkin
 from .index import BCCIndex
 
 __all__ = [
@@ -41,6 +62,7 @@ __all__ = [
     "apply_add_edges",
     "apply_remove_edges",
     "extend_index",
+    "refit_certificate",
     "shrink_index",
 ]
 
@@ -118,6 +140,17 @@ def apply_remove_edges(g: Graph, pairs) -> tuple[Graph, np.ndarray]:
     return g.subgraph_without_edges(mask), removed
 
 
+def _keeps_certificate(cert: FilterCertificate, added_u, added_v) -> bool:
+    """True iff adding these edges leaves ``cert`` a valid certificate:
+    no endpoint pair more than one BFS level apart (T stays a BFS tree)
+    and each pair inside one F-component (F still spans G − T)."""
+    lu, lv = cert.level[added_u], cert.level[added_v]
+    return bool(
+        (np.abs(lu - lv) <= 1).all()
+        and (cert.component[added_u] == cert.component[added_v]).all()
+    )
+
+
 def extend_index(
     index: BCCIndex,
     new_graph: Graph,
@@ -160,7 +193,18 @@ def extend_index(
     if not np.array_equal(new_keys[~from_old], added_keys[order]):
         return None  # shouldn't happen; bail out to a rebuild rather than corrupt
     labels[~from_old] = added_labels[order]
-    result = BCCResult(new_graph, labels, algorithm=index.result.algorithm)
+    # the added edges stay outside the carried certificate
+    cert = index.certificate
+    if cert is not None and _keeps_certificate(cert, added_u, added_v):
+        mask = np.zeros(new_graph.m, dtype=bool)
+        tree = np.zeros(new_graph.m, dtype=bool)
+        mask[from_old] = cert.mask[pos[from_old]]
+        tree[from_old] = cert.tree[pos[from_old]]
+        cert = FilterCertificate(mask, tree, cert.level, cert.component)
+    else:
+        cert = None
+    result = BCCResult(new_graph, labels, algorithm=index.result.algorithm,
+                       certificate=cert)
     # intra-block adds change no vertex's block membership, so the
     # articulation set carries over; old edges keep their bridge flag
     # through the id shift, and an added edge always lands in a block
@@ -173,6 +217,53 @@ def extend_index(
                     art_mask=index._is_art, bridge_mask=bridge_mask)
 
 
+def refit_certificate(
+    cert: FilterCertificate, g: Graph, removed_ids: np.ndarray
+) -> FilterCertificate | None:
+    """A certificate of ``g`` that avoids ``removed_ids``, sliced to the
+    surviving edges; None when this cheap repair cannot find one.
+
+    Removed edges outside T ∪ F need no repair.  A removed tree edge
+    hands its lower endpoint to another neighbour one level up (T stays
+    a BFS tree with the same levels); the forest is then refit as a
+    spanning forest of what remains of G − T.  That works when every
+    removed edge still has its endpoints connected in G − T minus the
+    removals: then some spanning forest of G − T avoids them all, and by
+    the §4 theorem removing them leaves every other edge in its block.
+    """
+    keep = np.ones(g.m, dtype=bool)
+    keep[removed_ids] = False
+    if not cert.mask[removed_ids].any():
+        return FilterCertificate(cert.mask[keep], cert.tree[keep], cert.level,
+                                 cert.component)
+    level = cert.level
+    tree = cert.tree.copy()
+    for e in removed_ids[cert.tree[removed_ids]].tolist():
+        a, b = int(g.u[e]), int(g.v[e])
+        child = a if level[a] > level[b] else b
+        inc = np.flatnonzero(((g.u == child) | (g.v == child)) & keep)
+        other = g.u[inc] + g.v[inc] - child
+        up = inc[level[other] == level[child] - 1]
+        if up.size == 0:
+            return None
+        tree[e] = False
+        tree[up[0]] = True
+    # F minus the removals and the new tree edges, then the non-tree
+    # edges that join its pieces: a spanning forest of them spans G' − T'
+    forest = np.flatnonzero(cert.mask & ~cert.tree & ~tree & keep)
+    pieces = shiloach_vishkin(g.n, g.u[forest], g.v[forest]).labels
+    rest = np.flatnonzero(keep & ~tree & ~cert.mask)
+    rest = rest[pieces[g.u[rest]] != pieces[g.v[rest]]]
+    ids = np.concatenate([forest, rest])
+    sv = shiloach_vishkin(g.n, g.u[ids], g.v[ids])
+    comp = sv.labels
+    if (comp[g.u[removed_ids]] != comp[g.v[removed_ids]]).any():
+        return None
+    mask = tree.copy()
+    mask[ids[sv.forest_edges]] = True
+    return FilterCertificate(mask[keep], tree[keep], level, comp)
+
+
 def shrink_index(
     index: BCCIndex,
     new_graph: Graph,
@@ -181,23 +272,37 @@ def shrink_index(
 ) -> BCCIndex | None:
     """Index for ``new_graph`` (= index.graph − removed edges) without recompute.
 
-    Succeeds only when every removed edge is a bridge (its block simply
-    disappears; all other labels are untouched).  ``removed_ids`` are edge
-    indices in ``index.graph``.
+    Succeeds for two kinds of batch (see module docstring): every removed
+    edge is a bridge (its block simply disappears), or the index carries
+    a certificate that :func:`refit_certificate` can keep clear of the
+    removed edges.  Either way all other labels are untouched.
+    ``removed_ids`` are edge indices in ``index.graph``.
     """
     g = index.graph
     if new_graph.n != g.n or removed_ids.size == 0:
-        return None
-    if not index._is_bridge[removed_ids].all():
         return None
     keep = np.ones(g.m, dtype=bool)
     keep[removed_ids] = False
     if new_graph.m != int(keep.sum()):
         return None
     labels = index.result.edge_labels[keep]
-    result = BCCResult(new_graph, labels, algorithm=index.result.algorithm)
-    # surviving edges keep their bridge flag (only whole single-edge
-    # blocks disappeared); the articulation set does change — a bridge
-    # endpoint can drop to one block — so it is recomputed
+    if index._is_bridge[removed_ids].all():
+        # surviving edges keep their bridge flag (only whole single-edge
+        # blocks disappeared); the articulation set does change — a bridge
+        # endpoint can drop to one block — so it is recomputed.  Bridges
+        # lie in every spanning tree, so T changed: the certificate goes.
+        result = BCCResult(new_graph, labels, algorithm=index.result.algorithm)
+        return BCCIndex(result, fingerprint=fingerprint, source="shrink",
+                        bridge_mask=index._is_bridge[keep])
+    cert = index.certificate
+    if cert is None or index._is_bridge[removed_ids].any():
+        return None
+    cert = refit_certificate(cert, g, removed_ids)
+    if cert is None:
+        return None
+    # every vertex keeps its blocks and every block keeps its size class
+    # (a non-bridge block has at least three edges), so both masks carry over
+    result = BCCResult(new_graph, labels, algorithm=index.result.algorithm,
+                       certificate=cert)
     return BCCIndex(result, fingerprint=fingerprint, source="shrink",
-                    bridge_mask=index._is_bridge[keep])
+                    art_mask=index._is_art, bridge_mask=index._is_bridge[keep])

@@ -260,3 +260,18 @@ class TestLifecycle:
             router.apply_batch([{"op": "num_components", "graph": "a"}] * 3)
         names = set(wall.seconds)
         assert {"Cluster-route", "Cluster-scatter", "Cluster-gather"} <= names
+
+    def test_routers_sharing_telemetry_count_only_their_own_tenants(self):
+        from repro.obs import CounterSink, Telemetry
+
+        telemetry = Telemetry()
+        seen = telemetry.add_sink(CounterSink())
+        g = gen.random_connected_gnm(N, 30, seed=0)
+        with ShardRouter(num_shards=2, backend="serial", telemetry=telemetry) as a, \
+                ShardRouter(num_shards=2, backend="serial", telemetry=telemetry) as b:
+            a.put_graph("g", g, tenant="acme")
+            a.apply({"op": "num_components", "graph": "g"})
+            assert b.stats().tenants == {}
+            assert a.stats().tenants["acme"]["admitted"] == 1
+        # every router event still reaches the shared telemetry
+        assert seen["tenant.admit.acme"] == 1 and seen["cluster.put.acme"] == 1

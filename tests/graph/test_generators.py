@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.graph import Graph
 from repro.graph import generators as gen
 from repro.graph.validate import is_connected, is_simple
 
@@ -216,6 +217,24 @@ class TestBarabasiAlbert:
     def test_deterministic(self):
         assert gen.barabasi_albert(100, k=2, seed=3) == gen.barabasi_albert(100, k=2, seed=3)
         assert gen.barabasi_albert(100, k=2, seed=3) != gen.barabasi_albert(100, k=2, seed=4)
+
+    @pytest.mark.parametrize("n,k,seed", [(2, 1, 0), (50, 1, 4), (120, 3, 7), (300, 5, 11)])
+    def test_same_edges_as_distinct_pool_bound(self, n, k, seed):
+        # the reference bounds each arrival's target count by the number
+        # of distinct pool vertices, as the generator once did; that bound
+        # is always k, so both draw the same random stream
+        rng = np.random.default_rng(seed)
+        us, vs, pool = [], [], list(range(k))
+        for w in range(k, n):
+            targets = set()
+            want = min(k, len(set(pool)))
+            while len(targets) < want:
+                targets.add(pool[int(rng.integers(0, len(pool)))])
+            for t in sorted(targets):
+                us.append(t)
+                vs.append(w)
+                pool.extend((t, w))
+        assert gen.barabasi_albert(n, k=k, seed=seed) == Graph(n, us, vs, normalize=True)
 
     def test_preferential_attachment_skews_degrees(self):
         # hubs emerge: max degree far above the mean (and above any

@@ -55,6 +55,15 @@ class TestClassify:
         idx = BCCIndex.build(gen.cycle_graph(4))
         assert classify_remove(idx, [0]) == "structural"
 
+    def test_remove_with_certificate_is_filtered(self):
+        # any non-bridge batch, inside T ∪ F or not: the shrink patch
+        # decides whether the certificate can be kept clear of it
+        idx = BCCIndex.build(gen.random_connected_gnm(40, 300, seed=5))
+        out = np.flatnonzero(~idx.certificate.mask)
+        inside = np.flatnonzero(idx.certificate.mask)
+        assert classify_remove(idx, out[:3]) == "filtered"
+        assert classify_remove(idx, [int(out[0]), int(inside[0])]) == "filtered"
+
     def test_remove_empty_is_structural(self):
         idx = BCCIndex.build(gen.path_graph(3))
         assert classify_remove(idx, np.zeros(0, np.int64)) == "structural"

@@ -165,6 +165,21 @@ class TestPlanMaintenance:
         plan = plan_maintenance("auto", log, _stored(g), lambda fp: idx)
         assert plan.strategy == "incremental-shrink"
 
+    def test_filtered_removes_shrink(self):
+        # dense enough (m > 4n) for tv-filter to keep its certificate
+        g0 = gen.random_connected_gnm(40, 300, seed=5)
+        out = np.flatnonzero(~BCCIndex.build(g0).certificate.mask)[:2]
+        pairs = [(int(g0.u[i]), int(g0.v[i])) for i in out]
+        log, g, idx = _chain(g0, [("remove", pairs)])
+        assert log.classifications() == ("filtered",)
+        plan = plan_maintenance("auto", log, _stored(g), lambda fp: idx)
+        assert plan.strategy == "incremental-shrink"
+        patched = apply_plan(plan)
+        fresh = BCCIndex.build(g)
+        np.testing.assert_array_equal(patched.result.edge_labels, fresh.result.edge_labels)
+        np.testing.assert_array_equal(patched._is_art, fresh._is_art)
+        np.testing.assert_array_equal(patched._is_bridge, fresh._is_bridge)
+
     def test_mixed_chain(self):
         # pendant bridge 0-6 off a 6-cycle: an intra add then a bridge remove
         log, g, idx = _chain(
