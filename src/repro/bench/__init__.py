@@ -1,7 +1,8 @@
 """Experiment harness reproducing the paper's figures and claims.
 
-Run from the command line (``python -m repro.bench fig3``) or call the
-runners programmatically (:mod:`repro.bench.runner`).
+Run from the command line (``python -m repro.bench fig3``; ``python -m
+repro.bench guard`` checks the simulated figures against the committed
+baseline) or call the runners programmatically (:mod:`repro.bench.runner`).
 """
 
 from . import report, runner
@@ -17,8 +18,7 @@ from .runner import (
     run_fig4,
     run_filter_claims,
     run_pathological,
-    run_service_bench,
-    run_service_batch_sweep,
+    run_service_tail_bench,
 )
 
 __all__ = [
@@ -35,6 +35,5 @@ __all__ = [
     "run_fallback_sweep",
     "run_pathological",
     "run_dense",
-    "run_service_bench",
-    "run_service_batch_sweep",
+    "run_service_tail_bench",
 ]

@@ -17,25 +17,13 @@ The abl-* experiments enumerate the stage/strategy registry
 (repro.core.pipeline): newly registered strategies appear automatically.
   pathological  §4: chain (d = O(n)) vs random (small d)
   dense         Woo–Sahni regime: 70%/90% of K_n
-  service       query-service workload: throughput, latency percentiles,
-                cache behaviour, a batch-size sweep of the vectorized
-                bulk query path, a sync-vs-async index-maintenance
-                tail-latency comparison, and an incremental-vs-full
-                rebuild comparison under intra-block churn
-                (repro.service; see docs/service.md); writes
-                results/BENCH_service.json (v4)
-  runtime       execution backends: kernel + end-to-end wall-clock across
-                serial/processes at p in {1,2,4} (docs/runtime.md);
-                writes results/BENCH_runtime.json
-  scale         cluster scale-out: shard x client x batch sweep through the
-                sharded front-end with element-wise verification against a
-                single engine (repro.cluster; see docs/cluster.md);
-                writes results/BENCH_scale.json
-  variants      fastbcc vs the paper set head to head (wall +
-                simulated, partition-checked) and the algorithm="auto"
-                selector audited against measured winners
-                (docs/algorithms.md); writes results/BENCH_variants.json
-  all           run everything
+  service       sync-vs-async index-maintenance tail latency and an
+                incremental-vs-full rebuild comparison under intra-block
+                churn (repro.service; see docs/service.md); writes JSON
+                only with --json PATH
+  guard         recompute fig3/fig4 at the --baseline file's n and require
+                every simulated number bit-identical (exit 1 on drift)
+  all           run every experiment above except guard
 
 Scale: --n overrides the vertex count (default 100,000;
 REPRO_BENCH_SCALE=paper selects the paper's n = 1,000,000).
@@ -49,6 +37,7 @@ import sys
 from dataclasses import asdict, is_dataclass
 
 from . import report, runner
+from .guard import run_guard
 
 
 def _emit(text: str, args) -> None:
@@ -168,58 +157,9 @@ def _dense(args):
 
 @experiment("service")
 def _service(args):
-    rep = runner.run_service_bench(n=args.n, seed=args.seed)
-    _emit(report.format_service(rep), args)
-    sweep = runner.run_service_batch_sweep(n=args.n, seed=args.seed)
-    _emit(report.format_service_sweep(sweep), args)
     tail = runner.run_service_tail_bench(n=args.n, seed=args.seed)
     _emit(report.format_service_tail(tail), args)
-    result = {"version": 4, "workload": rep.as_dict(), "batch_sweep": sweep,
-              "tail_latency": tail}
-    import os
-
-    if os.path.isdir("results"):
-        _save_json(result, "results/BENCH_service.json")
-        print("wrote results/BENCH_service.json")
-    return result
-
-
-@experiment("runtime")
-def _runtime(args):
-    result = runner.run_runtime_bench(n=args.n, seed=args.seed)
-    _emit(report.format_runtime(result), args)
-    # the measured-backend trajectory file, next to BENCH_service.json
-    # (convention: BENCH_*.json are committed measurements; see README)
-    import os
-
-    if os.path.isdir("results"):
-        _save_json(result, "results/BENCH_runtime.json")
-        print("wrote results/BENCH_runtime.json")
-    return result
-
-
-@experiment("scale")
-def _scale(args):
-    result = runner.run_scale_bench(n=args.n, seed=args.seed)
-    _emit(report.format_scale(result), args)
-    import os
-
-    if os.path.isdir("results"):
-        _save_json(result, "results/BENCH_scale.json")
-        print("wrote results/BENCH_scale.json")
-    return result
-
-
-@experiment("variants")
-def _variants(args):
-    result = runner.run_variants(n=args.n, seed=args.seed)
-    _emit(report.format_variants(result), args)
-    import os
-
-    if os.path.isdir("results"):
-        _save_json(result, "results/BENCH_variants.json")
-        print("wrote results/BENCH_variants.json")
-    return result
+    return tail
 
 
 @experiment("all")
@@ -239,13 +179,17 @@ def main(argv=None) -> int:
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
+    parser.add_argument("experiment", choices=sorted([*EXPERIMENTS, "guard"]))
     parser.add_argument("--n", type=int, default=None,
                         help="vertex count (default: REPRO_BENCH_N or 100000)")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--json", type=str, default=None,
                         help="also write results as JSON to this path")
+    parser.add_argument("--baseline", type=str, default="results/all_n100k.json",
+                        help="guard: committed fig3/fig4 baseline to diff against")
     args = parser.parse_args(argv)
+    if args.experiment == "guard":
+        return run_guard(args.baseline)
     result = EXPERIMENTS[args.experiment](args)
     if args.json:
         _save_json(result, args.json)

@@ -1,8 +1,8 @@
 """Bit-identity guard for the simulated paper figures.
 
 Recomputes the Fig. 3 and Fig. 4 experiments at the committed baseline's
-scale and diffs every *simulated* number against
-``results/all_n100k.json`` with exact ``==`` float comparison — not a
+scale and diffs every *simulated* number against the baseline
+(``results/all_n100k.json``) with exact ``==`` float comparison — not a
 tolerance.  The simulated cost model is deterministic arithmetic over a
 seeded graph, so any drift, however small, means the cost-accounting
 semantics changed (e.g. a refactor reordered float additions) and must
@@ -12,18 +12,19 @@ Wall-clock fields are ignored: they are measurements, not model outputs.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/figures_guard.py [--baseline PATH]
+    PYTHONPATH=src python -m repro.bench guard [--baseline PATH]
 
 Exit status 0 iff every simulated figure number is bit-identical.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
-from repro.bench import runner
+from . import runner
+
+__all__ = ["FIG3_SIM_FIELDS", "diff_fig3", "diff_fig4", "run_guard"]
 
 #: fig3 fields that must match bit-for-bit (wall_time_s is excluded).
 FIG3_SIM_FIELDS = ("n", "m", "sim_time_s", "seq_sim_time_s")
@@ -39,6 +40,7 @@ def _field(rec, name):
 
 
 def diff_fig3(baseline: list[dict], fresh) -> list[str]:
+    """Mismatch messages between baseline fig3 cells and recomputed ones."""
     errors = []
     base = {_key(c): c for c in baseline}
     new = {_key(c): c for c in fresh}
@@ -57,6 +59,7 @@ def diff_fig3(baseline: list[dict], fresh) -> list[str]:
 
 
 def diff_fig4(baseline: list[dict], fresh) -> list[str]:
+    """Mismatch messages between baseline fig4 rows and recomputed ones."""
     errors = []
     base = {_key(r): r for r in baseline}
     new = {_key(r): r for r in fresh}
@@ -80,12 +83,9 @@ def diff_fig4(baseline: list[dict], fresh) -> list[str]:
     return errors
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--baseline", default="results/all_n100k.json")
-    args = parser.parse_args(argv)
-
-    with open(args.baseline, encoding="utf-8") as f:
+def run_guard(baseline_path: str) -> int:
+    """Recompute fig3/fig4 at the baseline's n and diff; return the exit code."""
+    with open(baseline_path, encoding="utf-8") as f:
         baseline = json.load(f)
     n = baseline["fig3"][0]["n"]
     seed = 42  # the committed baseline's seed (bench harness default)
@@ -101,17 +101,13 @@ def main(argv=None) -> int:
             print(f"MISMATCH: {e}", file=sys.stderr)
         print(
             f"\nfigures guard FAILED: {len(errors)} simulated number(s) drifted "
-            f"from {args.baseline}",
+            f"from {baseline_path}",
             file=sys.stderr,
         )
         return 1
     n_numbers = len(fig3) * 2 + sum(len(r.steps) + 1 for r in fig4)
     print(
         f"figures guard OK: {len(fig3)} fig3 cells and {len(fig4)} fig4 rows "
-        f"({n_numbers} simulated numbers) bit-identical to {args.baseline}"
+        f"({n_numbers} simulated numbers) bit-identical to {baseline_path}"
     )
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

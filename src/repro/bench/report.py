@@ -16,12 +16,8 @@ __all__ = [
     "format_fig1",
     "format_filter_claims",
     "format_ablation",
-    "format_service",
-    "format_service_sweep",
     "format_service_tail",
     "format_incremental_maintenance",
-    "format_runtime",
-    "format_variants",
     "ascii_bars",
 ]
 
@@ -158,87 +154,6 @@ def format_ablation(rows: list[AblationRow], title: str) -> str:
     return table(headers, body, title)
 
 
-def format_service(rep) -> str:
-    """Service benchmark: per-op latency table plus engine/cache counters.
-
-    ``rep`` is a :class:`repro.service.driver.WorkloadReport` (kept
-    untyped here to avoid importing the service subsystem for the
-    figure-only experiments).
-    """
-    headers = ["op", "count", "mean [us]", "p50 [us]", "p95 [us]", "p99 [us]"]
-    body = [
-        [op, s["count"], s["mean_us"], s["p50_us"], s["p95_us"], s["p99_us"]]
-        for op, s in rep.latency_us.items()
-    ]
-    title = (
-        f"Service workload — n={rep.graph_n:,}, m={rep.graph_m:,}, "
-        f"{rep.num_ops:,} ops ({rep.num_queries:,} queries / "
-        f"{rep.num_updates:,} updates), algorithm={rep.algorithm}"
-    )
-    lines = [table(headers, body, title)]
-    lines.append(
-        f"throughput {rep.throughput_ops_s:,.0f} ops/s (wall {rep.wall_s:.3f}s); "
-        f"query p50/p95/p99 = {rep.query_p50_us:.1f}/{rep.query_p95_us:.1f}/"
-        f"{rep.query_p99_us:.1f} us"
-    )
-    if rep.num_query_items > rep.num_queries:
-        lines.append(
-            f"batched: {rep.num_query_items:,} query items -> "
-            f"{rep.throughput_items_s:,.0f} items/s amortized; per-item "
-            f"p50/p95/p99 = {rep.query_item_p50_us:.2f}/"
-            f"{rep.query_item_p95_us:.2f}/{rep.query_item_p99_us:.2f} us"
-        )
-    lines.append(
-        f"index cache: {rep.cache_hits} hits / {rep.cache_misses} misses "
-        f"(hit rate {rep.cache_hit_rate:.1%}); {rep.evictions} evictions, "
-        f"{rep.noop_updates} no-op updates"
-    )
-    lines.append(
-        f"full builds: {rep.rebuilds} in {rep.rebuild_wall_s:.3f}s; catch-ups "
-        f"over a delta chain: {rep.rebuilds_incremental} patched / "
-        f"{rep.rebuilds_full} rebuilt "
-        f"(mode={rep.rebuild_mode}, freshness={rep.freshness})"
-    )
-    if rep.rebuild_mode == "async":
-        lines.append(
-            f"async maintenance: {rep.stale_hits} stale hits, "
-            f"{rep.forced_syncs} forced syncs, {rep.rebuilds_queued} queued, "
-            f"{rep.rebuild_swaps} swapped, {rep.rebuilds_rejected} rejected; "
-            f"max staleness {rep.max_staleness_ms:.1f} ms"
-        )
-    if rep.sim_time_s is not None:
-        regions = ", ".join(f"{k} {v:.3f}s" for k, v in sorted(rep.sim_regions.items()))
-        lines.append(f"simulated E4500 (p={rep.p}): {rep.sim_time_s:.3f}s [{regions}]")
-    if rep.verified is not None:
-        lines.append(f"verified against recompute-from-scratch: {rep.verified} "
-                     f"({rep.mismatches} mismatches)")
-    return "\n".join(lines)
-
-
-def format_service_sweep(sweep: dict) -> str:
-    """Batch-size sweep table from
-    :func:`repro.bench.runner.run_service_batch_sweep`: one row per batch
-    size with amortized per-item throughput and the speedup over the
-    batch=1 baseline (same seeded read-heavy item stream throughout)."""
-    headers = [
-        "batch", "ops", "items", "wall [s]", "ops/s", "items/s",
-        "item p50 [us]", "item p99 [us]", "speedup",
-    ]
-    body = [
-        [r["batch"], r["num_ops"], r["num_query_items"], r["wall_s"],
-         f"{r['ops_per_s']:,.0f}", f"{r['items_per_s']:,.0f}",
-         f"{r['query_item_p50_us']:.2f}", f"{r['query_item_p99_us']:.2f}",
-         f"{r['speedup_vs_batch1']:.1f}x"]
-        for r in sweep["rows"]
-    ]
-    title = (
-        f"Service batch sweep — n={sweep['graph_n']:,}, m={sweep['graph_m']:,}, "
-        f"{sweep['items']:,} read-heavy query items per point, "
-        f"algorithm={sweep['algorithm']} (amortized items/s vs batch size)"
-    )
-    return table(headers, body, title)
-
-
 def format_service_tail(tail: dict) -> str:
     """Sync-vs-async tail-latency comparison from
     :func:`repro.bench.runner.run_service_tail_bench`: one row per engine
@@ -365,155 +280,3 @@ def format_fig4_bars(rows: list[Fig4Row]) -> str:
                 + ascii_bars([s for s, _ in steps], [v for _, v in steps])
             )
     return "\n\n".join(blocks)
-
-
-def format_runtime(result: dict) -> str:
-    """Runtime-backend benchmark: kernel and end-to-end wall-clock tables.
-
-    ``result`` is the dict from
-    :func:`repro.bench.runner.run_runtime_bench`.  Speedup columns are
-    relative to the same backend at p = 1; the host block states how many
-    cores those numbers were measured on.
-    """
-    host = result["host"]
-    scale = result["scale"]
-    base: dict[tuple[str, str], float] = {}
-    for row in result["kernels"]:
-        if row["p"] == 1:
-            base[(row["kernel"], row["backend"])] = row["wall_s"]
-    k_rows = [
-        [r["kernel"], r["backend"], r["p"], f"{r['n']:,}",
-         r["wall_s"], r["sim_s"],
-         base[(r["kernel"], r["backend"])] / r["wall_s"]
-         if base.get((r["kernel"], r["backend"])) else float("nan")]
-        for r in result["kernels"]
-    ]
-    e_base = {r["backend"]: r["wall_s"]
-              for r in result["end_to_end"] if r["p"] == 1}
-    e_rows = [
-        [r["algorithm"], r["backend"], r["p"], r["wall_s"], r["sim_s"],
-         e_base[r["backend"]] / r["wall_s"] if e_base.get(r["backend"])
-         else float("nan")]
-        for r in result["end_to_end"]
-    ]
-    lines = [
-        table(
-            ["kernel", "backend", "p", "n", "wall [s]", "sim [s]", "speedup"],
-            k_rows,
-            f"Runtime kernels — scan n={scale['kernel_n']:,}, "
-            f"graph n={scale['graph_n']:,} m={scale['graph_m']:,} "
-            f"(best of {scale['repeats']})",
-        ),
-        "",
-        table(
-            ["algorithm", "backend", "p", "wall [s]", "sim [s]", "speedup"],
-            e_rows,
-            "End-to-end tv-filter",
-        ),
-        "",
-        f"host: {host['cpu_count']} core(s), {host['platform']}, "
-        f"python {host['python']}, numpy {host['numpy']} — wall-clock "
-        f"speedups are bounded by the core count above",
-    ]
-    return "\n".join(lines)
-
-
-def format_variants(result: dict) -> str:
-    """Variants head-to-head + the auto-selector audit per family.
-
-    ``result`` is the dict from :func:`repro.bench.runner.run_variants`.
-    The speedup column is wall-clock relative to tv-opt on the same
-    family (the paper-era engineering baseline the new variants are
-    measured against).
-    """
-    host = result["host"]
-    scale = result["scale"]
-    p = scale["p"]
-    rows = []
-    for fam in result["families"]:
-        base = next((r["wall_s"] for r in fam["rows"]
-                     if r["algorithm"] == "tv-opt"), None)
-        for r in fam["rows"]:
-            rows.append([
-                fam["family"], f"{fam['m'] / fam['n']:.0f}", r["algorithm"],
-                f"{r['wall_s'] * 1e3:,.1f}",
-                f"{base / r['wall_s']:.2f}x" if base else "-",
-                f"{r['sim_p1_s']:.3f}", f"{r[f'sim_p{p}_s']:.3f}",
-                "yes" if r["verified"] else "NO",
-            ])
-    audit = [
-        [fam["family"], fam["auto"]["chosen_wall"],
-         fam["auto"]["measured_winner_wall"],
-         "yes" if fam["auto"]["auto_matches_measured_wall"] else "NO",
-         fam["auto"]["chosen_simulated"]]
-        for fam in result["families"]
-    ]
-    return "\n".join([
-        table(
-            ["family", "m/n", "algorithm", "wall [ms]", "vs tv-opt",
-             "sim p=1 [s]", f"sim p={p} [s]", "verified"],
-            rows,
-            f"Algorithm variants — n={scale['n']:,}, best of "
-            f"{scale['repeats']}, all partitions checked vs sequential Tarjan",
-        ),
-        "",
-        table(
-            ["family", "auto (wall)", "measured winner", "match",
-             "auto (simulated)"],
-            audit,
-            "auto selector audit — closed-form choice vs measured wall winner",
-        ),
-        "",
-        f"auto matched the measured winner on "
-        f"{result['auto_matches_measured_wall']}/{result['num_families']} "
-        f"families; host: {host['cpu_count']} core(s), {host['platform']}",
-    ])
-
-
-def format_scale(result: dict) -> str:
-    """Cluster scale sweep: shard x client x batch throughput table.
-
-    ``result`` is the dict from
-    :func:`repro.bench.runner.run_scale_bench`.  The throughput baseline
-    for the overhead column is the 1-shard 1-client row at the same
-    query batch (routing a single stream through the full
-    scatter/gather path), so the column isolates what sharding and
-    client concurrency add or cost on this host.
-    """
-    host = result["host"]
-    scale = result["scale"]
-    base = {r["query_batch"]: r["throughput_items_s"]
-            for r in result["sweep"]
-            if r["shards"] == 1 and r["clients"] == 1}
-    rows = [
-        [r["shards"], r["clients"], r["query_batch"], r["ops"],
-         f"{r['throughput_ops_s']:,.0f}", f"{r['throughput_items_s']:,.0f}",
-         r["throughput_items_s"] / base[r["query_batch"]]
-         if base.get(r["query_batch"]) else float("nan"),
-         f"{r['frame_p50_us']:.0f}",
-         ("yes" if r["verified"] else "NO" if r["verified"] is not None
-          else "-")]
-        for r in result["sweep"]
-    ]
-    verified = [r["verified"] for r in result["sweep"]]
-    all_checked = all(v is not None for v in verified)
-    footer = (
-        "every configuration verified element-wise against a single engine"
-        if all_checked and all(verified)
-        else "VERIFICATION FAILED in at least one configuration"
-        if all_checked
-        else "verification was off for at least one configuration"
-    )
-    return "\n".join([
-        table(
-            ["shards", "clients", "batch", "ops", "ops/s", "items/s",
-             "vs 1x1", "frame p50 [us]", "verified"],
-            rows,
-            f"Cluster scale sweep — {scale['backend']} backend, "
-            f"n={scale['n']:,} m={scale['m']:,} per client, "
-            f"{scale['ops_per_client']} ops/client, "
-            f"frames of {scale['frame_records']}",
-        ),
-        "",
-        f"{footer}; host: {host['cpu_count']} core(s), {host['platform']}",
-    ])

@@ -19,9 +19,9 @@ import numpy as np
 
 from ..core import pipeline, tarjan_bcc, tv_bcc, tv_filter_bcc
 from ..core.filter import FilterStats, count_biconnected_components_bfs
-from ..graph import Graph, generators as gen
+from ..graph import generators as gen
 from ..obs import Telemetry, WallClockSink
-from ..smp import PAPER_PROCESSOR_GRID, Machine, e4500, sequential_machine
+from ..smp import PAPER_PROCESSOR_GRID, e4500, sequential_machine
 
 
 def _stopwatch(fn):
@@ -54,14 +54,7 @@ __all__ = [
     "run_fallback_sweep",
     "run_pathological",
     "run_dense",
-    "run_service_bench",
-    "run_service_batch_sweep",
     "run_service_tail_bench",
-    "SERVICE_BATCH_SIZES",
-    "run_runtime_bench",
-    "run_variants",
-    "VARIANT_ALGORITHMS",
-    "VARIANT_FAMILIES",
 ]
 
 #: Densities (m/n) in the Fig. 3 / Fig. 4 grid.  The paper sweeps several
@@ -92,7 +85,7 @@ def _algorithms(include_sequential: bool = False):
     Post-paper variants (``in_figures=False``) are excluded: the fig3/fig4
     grid — and the figures-guard baseline pinning its 272 numbers — is
     exactly the paper's algorithm set.  Variants are measured by
-    :func:`run_variants` instead.
+    bccbench instead.
     """
     algos = []
     for name in pipeline.list_algorithms():
@@ -457,149 +450,6 @@ def run_pathological(n: int | None = None, p: int = 12, seed: int = 42) -> list[
     return rows
 
 
-def run_service_bench(
-    n: int | None = None,
-    ops: int = 10_000,
-    seed: int = 42,
-    p: int = 12,
-    update_frac: float = 0.1,
-    algorithm: str = "tv-filter",
-    edge_bias: float = 0.05,
-    cache_size: int = 8,
-):
-    """Service-level benchmark: a seeded mixed workload through the engine.
-
-    The instance mirrors the paper's densest grid point at the chosen
-    scale — a random connected graph with m = n * round(log2 n) edges —
-    and the workload is the default 90% query / 10% batch-update mix of
-    :mod:`repro.service.workload`.  Returns the driver's
-    :class:`~repro.service.driver.WorkloadReport` (throughput, per-op
-    p50/p95/p99 latencies, cache hit rate, rebuild counts, simulated
-    E4500 seconds at ``p``), the perf trajectory future scaling PRs are
-    measured against (see results/BENCH_service.json).
-
-    The default scale is intentionally smaller than the figure runners'
-    (the service is rebuild-bound, not single-run-bound): n = 10,000
-    unless overridden by ``n`` or REPRO_BENCH_N.
-    """
-    import os as _os
-
-    from ..service import WorkloadSpec, generate_workload, mix_with_update_fraction
-    from ..service.driver import run_workload
-
-    if n is None:
-        n = (default_n() if ("REPRO_BENCH_N" in _os.environ
-                             or _os.environ.get("REPRO_BENCH_SCALE"))
-             else 10_000)
-    m = n * max(1, round(math.log2(n)))
-    spec = WorkloadSpec(
-        num_ops=ops,
-        seed=seed,
-        mix=mix_with_update_fraction(update_frac),
-        edge_bias=edge_bias,
-        graph={"family": "connected-gnm", "n": int(n), "m": int(m), "seed": seed},
-    )
-    workload = generate_workload(spec)
-    machine = e4500(p) if p else None
-    return run_workload(workload, algorithm=algorithm, machine=machine,
-                        cache_size=cache_size)
-
-
-#: Read-heavy mix for the batch sweep: the four batchable point queries,
-#: no updates — the regime ROADMAP calls "the single biggest ops/s lever".
-READ_HEAVY_MIX = {
-    "same_bcc": 0.40,
-    "is_articulation": 0.18,
-    "is_bridge": 0.18,
-    "component_of_edge": 0.24,
-}
-
-#: Batch sizes the service bench sweeps (batch=1 is the point-query baseline).
-SERVICE_BATCH_SIZES = (1, 16, 256, 4096)
-
-
-def run_service_batch_sweep(
-    n: int | None = None,
-    items: int = 16_384,
-    batches=SERVICE_BATCH_SIZES,
-    seed: int = 42,
-    algorithm: str = "tv-filter",
-    edge_bias: float = 0.25,
-) -> dict:
-    """Batch-size sweep: amortized per-item throughput on a read-heavy mix.
-
-    Holds the instance, seed, mix, and total query-item count fixed while
-    sweeping items-per-record over ``batches`` (``num_ops = items // batch``
-    records each).  batch=1 is the classic point-query dispatch baseline;
-    larger batches answer the same number of items through the vectorized
-    ``*_many`` kernels, so the ratio of ``items_per_s`` is purely the
-    dispatch amortization the batch-first refactor buys.  Runs
-    uninstrumented (no simulated machine) so wall-clock is not skewed by
-    per-record cost-model bookkeeping.
-
-    Returns ``{"graph_n", "graph_m", "items", "algorithm", "mix",
-    "rows": [...]}`` where each row records the batch size, record/item
-    counts, wall seconds, per-record and amortized per-item throughput
-    and percentiles, and the speedup over the batch=1 row.
-    """
-    import os as _os
-
-    from ..service import ServiceEngine, WorkloadSpec, generate_workload
-    from ..service.driver import run_workload
-
-    if n is None:
-        n = (default_n() if ("REPRO_BENCH_N" in _os.environ
-                             or _os.environ.get("REPRO_BENCH_SCALE"))
-             else 10_000)
-    m = n * max(1, round(math.log2(n)))
-    graph_spec = {"family": "connected-gnm", "n": int(n), "m": int(m),
-                  "seed": seed}
-    # one shared engine, warmed before timing: the read-only sweep must
-    # measure query dispatch, not the one-off index build (which the mixed
-    # workload above already accounts for)
-    from ..service.workload import instance_graph
-
-    g = instance_graph(WorkloadSpec(graph=graph_spec))
-    engine = ServiceEngine(algorithm=algorithm)
-    engine.put_graph("sweep", g)
-    engine.query("sweep", "num_components")  # build + cache the index
-    rows: list[dict] = []
-    for batch in batches:
-        num_ops = max(1, int(items) // int(batch))
-        spec = WorkloadSpec(
-            num_ops=num_ops,
-            seed=seed,
-            mix=dict(READ_HEAVY_MIX),
-            edge_bias=edge_bias,
-            query_batch=int(batch),
-            graph=graph_spec,
-        )
-        rep = run_workload(generate_workload(spec, graph=g), graph=g,
-                           engine=engine, name="sweep")
-        rows.append({
-            "batch": int(batch),
-            "num_ops": rep.num_ops,
-            "num_query_items": rep.num_query_items,
-            "wall_s": rep.wall_s,
-            "ops_per_s": rep.throughput_ops_s,
-            "items_per_s": rep.throughput_items_s,
-            "query_p50_us": rep.query_p50_us,
-            "query_item_p50_us": rep.query_item_p50_us,
-            "query_item_p99_us": rep.query_item_p99_us,
-        })
-    base = rows[0]["items_per_s"] or 1.0
-    for row in rows:
-        row["speedup_vs_batch1"] = row["items_per_s"] / base
-    return {
-        "graph_n": g.n,
-        "graph_m": g.m,
-        "items": int(items),
-        "algorithm": algorithm,
-        "mix": dict(READ_HEAVY_MIX),
-        "rows": rows,
-    }
-
-
 def _tail_leg(rep) -> dict:
     """One sync/async leg of the tail bench as a JSON row."""
     return {
@@ -682,8 +532,9 @@ def run_service_tail_bench(
     engines forbid one, and the comparison is pure wall-clock).  The
     headline numbers are ``tail_collapse_p99`` (sync p99 / async p99)
     and ``async_p99_over_p50`` (how flat the async tail is; the target
-    is within ~10x of p50).  Written into results/BENCH_service.json
-    (v4) under ``"tail_latency"``.
+    is within ~10x of p50).  ``python -m repro.bench service --json
+    PATH`` writes the result; the frozen results/BENCH_service.json (v4)
+    holds the last committed run under ``"tail_latency"``.
 
     The default staleness budget (1 s) deliberately exceeds one full
     rebuild at this scale: a budget smaller than a rebuild forces a
@@ -697,8 +548,6 @@ def run_service_tail_bench(
     so the committed artifact is interpretable.  The p95 ratio shows the
     collapse even there: stale serves are ordinary dispatch cost.
     """
-    import os as _os
-
     from ..service import (
         DEFAULT_MIX,
         WorkloadSpec,
@@ -708,8 +557,8 @@ def run_service_tail_bench(
     from ..service.driver import run_workload
 
     if n is None:
-        n = (default_n() if ("REPRO_BENCH_N" in _os.environ
-                             or _os.environ.get("REPRO_BENCH_SCALE"))
+        n = (default_n() if ("REPRO_BENCH_N" in os.environ
+                             or os.environ.get("REPRO_BENCH_SCALE"))
              else 10_000)
     m = n * max(1, round(math.log2(n)))
     spec = WorkloadSpec(
@@ -816,342 +665,3 @@ def run_dense(p: int = 12, seed: int = 42, n: int = 1500) -> list[AblationRow]:
                          fraction=frac, seq_sim_time_s=ms.time_s)
             rows.append(row)
     return rows
-
-
-# --------------------------------------------------------------------- #
-# algorithm variants (docs/algorithms.md): fastbcc vs the paper set
-
-
-#: Variants measured head to head by :func:`run_variants`.
-VARIANT_ALGORITHMS = ("tv-opt", "tv-filter", "fastbcc")
-
-#: (family label, m/n density) grid: below, at, and well past the paper's
-#: m = 4n tv-filter fallback line.
-VARIANT_FAMILIES = (("gnm-sparse", 2), ("gnm-mid", 5), ("gnm-dense", 10))
-
-
-def run_variants(
-    n: int | None = None,
-    p: int = 12,
-    seed: int = 42,
-    repeats: int = 3,
-    algorithms=VARIANT_ALGORITHMS,
-    families=VARIANT_FAMILIES,
-) -> dict:
-    """Head-to-head variants bench + adaptive-selection audit.
-
-    For each graph family, every variant runs *as registered* (fallbacks
-    active — tv-filter really is tv-opt below m = 4n, exactly what a
-    caller selecting it gets) and records wall-clock (best of ``repeats``,
-    uninstrumented) plus simulated E4500 time at p=1 and ``p``; every
-    result is partition-checked against sequential Tarjan.
-
-    The ``auto`` audit then compares :func:`repro.core.select`'s
-    closed-form choice (both objectives) against the *measured* winner
-    among its candidates — ``auto_matches_measured_wall`` per family and
-    an aggregate count, the acceptance gate for the adaptive selector.
-    Written to results/BENCH_variants.json by
-    ``python -m repro.bench variants``.
-    """
-    import platform as _platform
-    import sys as _sys
-
-    from ..core import select
-
-    n = n or (default_n() if ("REPRO_BENCH_N" in os.environ
-                              or os.environ.get("REPRO_BENCH_SCALE"))
-              else 50_000)
-    fams = []
-    matches_wall = 0
-    for label, density in families:
-        g = gen.random_connected_gnm(n, density * n, seed=seed)
-        seq_machine = sequential_machine()
-        seq = tarjan_bcc(g, seq_machine)
-        rows = []
-        for name in algorithms:
-            best = math.inf
-            for _ in range(repeats):
-                res, wall = _stopwatch(
-                    lambda: pipeline.run_pipeline(g, name)
-                )
-                best = min(best, wall)
-            if not res.same_partition(seq):
-                raise AssertionError(f"{name} disagreed with sequential Tarjan")
-            m1 = sequential_machine()
-            pipeline.run_pipeline(g, name, m1)
-            mp = e4500(p)
-            pipeline.run_pipeline(g, name, mp)
-            rows.append({
-                "algorithm": name,
-                "wall_s": best,
-                "sim_p1_s": float(m1.time_s),
-                f"sim_p{p}_s": float(mp.time_s),
-                "verified": True,
-            })
-        wall_by_name = {r["algorithm"]: r["wall_s"] for r in rows}
-        candidates = [c for c in select.AUTO_CANDIDATES if c in wall_by_name]
-        measured_winner = min(candidates, key=wall_by_name.get)
-        chosen_wall = select.choose_algorithm(g.n, g.m, 1, objective="wall")
-        chosen_sim = select.choose_algorithm(g.n, g.m, p, objective="simulated")
-        match = chosen_wall == measured_winner
-        matches_wall += match
-        fams.append({
-            "family": label,
-            "n": int(g.n),
-            "m": int(g.m),
-            "density": density,
-            "seq_sim_s": float(seq_machine.time_s),
-            "rows": rows,
-            "auto": {
-                "chosen_wall": chosen_wall,
-                "chosen_simulated": chosen_sim,
-                "measured_winner_wall": measured_winner,
-                "auto_matches_measured_wall": bool(match),
-                "predicted_wall_s": {
-                    c: select.predict_cost_s(c, g.n, g.m, 1, objective="wall")
-                    for c in candidates
-                },
-            },
-        })
-    return {
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": _platform.platform(),
-            "python": _sys.version.split()[0],
-            "numpy": np.__version__,
-        },
-        "scale": {"n": int(n), "p": int(p), "repeats": int(repeats),
-                  "seed": int(seed)},
-        "algorithms": list(algorithms),
-        "auto_candidates": list(select.AUTO_CANDIDATES),
-        "families": fams,
-        "auto_matches_measured_wall": int(matches_wall),
-        "num_families": len(fams),
-    }
-
-
-# --------------------------------------------------------------------- #
-# runtime backends (docs/runtime.md)
-
-
-def run_runtime_bench(
-    n: int | None = None,
-    kernel_n: int = 1_000_000,
-    seed: int = 42,
-    ps=(1, 2, 4),
-    backends=("serial", "processes"),
-    repeats: int = 3,
-):
-    """Measure the execution backends: kernel and end-to-end wall-clock.
-
-    Times each runtime kernel (prefix scan at ``kernel_n`` elements, SV
-    connectivity and BFS on the density-4 instance at scale ``n``) and
-    the full ``tv-filter`` pipeline on every real backend at each worker
-    count, next to the vectorized/simulated baseline.  Wall-clock is the
-    best of ``repeats`` runs; simulated seconds come from the cost model
-    and are backend-independent by construction.
-
-    The result — written to results/BENCH_runtime.json by
-    ``python -m repro.bench runtime`` — records the host's CPU count and
-    platform: wall-clock speedups are only meaningful relative to the
-    recorded core count (a 1-core container cannot show p >= 2 gains).
-    """
-    import platform as _platform
-    import sys as _sys
-
-    from .. import biconnected_components
-    from ..primitives.bfs import bfs_forest as vec_bfs
-    from ..primitives.connectivity import shiloach_vishkin as vec_sv
-    from ..primitives.prefix_sum import prefix_scan as vec_scan
-    from ..runtime import kernels, make_team
-
-    n = n or default_n()
-    rng = np.random.default_rng(seed)
-    x = rng.integers(0, 1000, size=kernel_n).astype(np.int64)
-    g = gen.random_connected_gnm(n, 4 * n, seed=seed)
-    csr = g.csr()
-
-    def best_of(fn):
-        best = math.inf
-        for _ in range(repeats):
-            _, wall = _stopwatch(fn)
-            best = min(best, wall)
-        return best
-
-    def sim_s(fn, p):
-        mach = e4500(p)
-        fn(mach)
-        return float(mach.time_s)
-
-    kernel_rows = []
-
-    def add_kernel(kernel, backend, p, size, wall, sim):
-        kernel_rows.append({
-            "kernel": kernel, "backend": backend, "p": int(p),
-            "n": int(size), "wall_s": wall, "sim_s": sim,
-        })
-
-    # vectorized baselines (the "simulated" backend executes these)
-    add_kernel("prefix_scan", "simulated", 1, kernel_n,
-               best_of(lambda: vec_scan(x, "sum")),
-               sim_s(lambda m: vec_scan(x, "sum", m), 1))
-    add_kernel("shiloach_vishkin", "simulated", 1, n,
-               best_of(lambda: vec_sv(g.n, g.u, g.v, mode="engineered")),
-               sim_s(lambda m: vec_sv(g.n, g.u, g.v, m, mode="engineered"), 1))
-    add_kernel("bfs_forest", "simulated", 1, n,
-               best_of(lambda: vec_bfs(g, csr=csr)),
-               sim_s(lambda m: vec_bfs(g, machine=m, csr=csr), 1))
-
-    for backend in backends:
-        for p in ps:
-            with make_team(backend, p) as team:
-                add_kernel(
-                    "prefix_scan", backend, p, kernel_n,
-                    best_of(lambda: kernels.prefix_scan(x, "sum", team=team)),
-                    sim_s(lambda m: kernels.prefix_scan(x, "sum", team=team,
-                                                        machine=m), p))
-                add_kernel(
-                    "shiloach_vishkin", backend, p, n,
-                    best_of(lambda: kernels.shiloach_vishkin(
-                        g.n, g.u, g.v, team=team)),
-                    sim_s(lambda m: kernels.shiloach_vishkin(
-                        g.n, g.u, g.v, team=team, machine=m), p))
-                add_kernel(
-                    "bfs_forest", backend, p, n,
-                    best_of(lambda: kernels.bfs_forest(g, team=team, csr=csr)),
-                    sim_s(lambda m: kernels.bfs_forest(g, team=team, machine=m,
-                                                       csr=csr), p))
-
-    e2e_rows = []
-    for backend in ("simulated", *backends):
-        for p in ps:
-            wall = best_of(lambda: biconnected_components(
-                g, "tv-filter", backend=backend, p=p))
-            res = biconnected_components(g, "tv-filter", e4500(p),
-                                         backend=backend, p=p)
-            e2e_rows.append({
-                "algorithm": "tv-filter", "backend": backend, "p": int(p),
-                "n": int(g.n), "m": int(g.m),
-                "wall_s": wall,
-                "sim_s": float(res.report.time_s),
-                "wall_regions": {k: float(v)
-                                 for k, v in res.report.region_wall_s().items()},
-            })
-
-    return {
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": _platform.platform(),
-            "python": _sys.version.split()[0],
-            "numpy": np.__version__,
-        },
-        "scale": {"kernel_n": int(kernel_n), "graph_n": int(g.n),
-                  "graph_m": int(g.m), "repeats": int(repeats)},
-        "kernels": kernel_rows,
-        "end_to_end": e2e_rows,
-    }
-
-
-#: Shard x client grid the scale bench sweeps (with query_batch axis).
-SCALE_SHARDS = (1, 2, 4)
-SCALE_CLIENTS = (1, 2, 4)
-SCALE_BATCHES = (1, 64)
-
-
-def run_scale_bench(
-    n: int | None = None,
-    ops: int = 400,
-    seed: int = 42,
-    shards=None,
-    clients=None,
-    batches=None,
-    backend: str = "serial",
-    frame_records: int = 16,
-    update_frac: float = 0.05,
-    algorithm: str = "tv-filter",
-    verify: bool = True,
-) -> dict:
-    """Scale-out sweep: shard count x client count x query batch size.
-
-    Every configuration runs the cluster's multi-client driver
-    (:func:`repro.cluster.run_cluster_workload`) over seeded per-client
-    instances at n vertices, m = n * round(log2 n) edges, and — with
-    ``verify`` on, the default — replays every client stream on a single
-    :class:`~repro.service.engine.ServiceEngine` asserting element-wise
-    identical answers; a row's ``verified`` field records that oracle
-    outcome, so results/BENCH_scale.json doubles as a correctness
-    artifact for the routing layer.
-
-    The default backend is ``serial`` (in-process shard engines): on a
-    1-core CI box the sweep then measures pure routing overhead — how
-    much the scatter/gather layer costs over a single engine — rather
-    than parallel speedup.  Pass ``backend="processes"`` on a real
-    multi-core host to measure scale-out throughput.
-    """
-    import os as _os
-    import platform as _platform
-    import sys as _sys
-
-    from ..cluster import run_cluster_workload
-    from ..service import WorkloadSpec, mix_with_update_fraction
-
-    shards = SCALE_SHARDS if shards is None else shards
-    clients = SCALE_CLIENTS if clients is None else clients
-    batches = SCALE_BATCHES if batches is None else batches
-    if n is None:
-        n = (default_n() if ("REPRO_BENCH_N" in _os.environ
-                             or _os.environ.get("REPRO_BENCH_SCALE"))
-             else 2_000)
-    m = n * max(1, round(math.log2(n)))
-    rows = []
-    for query_batch in batches:
-        spec = WorkloadSpec(
-            num_ops=ops,
-            seed=seed,
-            mix=mix_with_update_fraction(update_frac),
-            query_batch=int(query_batch),
-            graph={"family": "connected-gnm", "n": int(n), "m": int(m),
-                   "seed": seed},
-        )
-        for num_shards in shards:
-            for num_clients in clients:
-                rep = run_cluster_workload(
-                    spec,
-                    num_shards=int(num_shards),
-                    num_clients=int(num_clients),
-                    backend=backend,
-                    frame_records=frame_records,
-                    algorithm=algorithm,
-                    verify=verify,
-                )
-                rows.append({
-                    "shards": int(num_shards),
-                    "clients": int(num_clients),
-                    "query_batch": int(query_batch),
-                    "backend": rep.backend,
-                    "ops": rep.num_ops,
-                    "query_items": rep.num_query_items,
-                    "wall_s": rep.wall_s,
-                    "throughput_ops_s": rep.throughput_ops_s,
-                    "throughput_items_s": rep.throughput_items_s,
-                    "frame_p50_us": rep.frame_p50_us,
-                    "frame_p95_us": rep.frame_p95_us,
-                    "item_p50_us": rep.query_item_p50_us,
-                    "verified": rep.verified,
-                    "mismatches": rep.mismatches,
-                    "clean_shutdown": rep.clean_shutdown,
-                    "leaked_segments": rep.leaked_segments,
-                })
-    return {
-        "host": {
-            "cpu_count": os.cpu_count(),
-            "platform": _platform.platform(),
-            "python": _sys.version.split()[0],
-            "numpy": np.__version__,
-        },
-        "scale": {"n": int(n), "m": int(m), "ops_per_client": int(ops),
-                  "frame_records": int(frame_records),
-                  "update_frac": update_frac, "algorithm": algorithm,
-                  "backend": backend, "seed": int(seed)},
-        "sweep": rows,
-    }

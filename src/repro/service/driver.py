@@ -9,8 +9,8 @@ methodology (total simulated seconds at ``p`` processors, split by region).
 
 Latency is reported at two granularities: per *record* (a batched op is
 one record) and amortized per *item* (each batch's span split over its
-items), so the batch-size sweep in ``run_service_bench`` can show the
-per-item dispatch cost collapsing as batches grow.
+items), so a batched workload shows the per-item dispatch cost
+collapsing as batches grow.
 
 ``verify=True`` cross-checks every query answer against a from-scratch
 recomputation — sequential Hopcroft–Tarjan plus a fresh block-cut tree —

@@ -27,7 +27,8 @@ from repro.smp import VECTORIZED_HOST
 
 
 def _add_entry(idx_before, g_before, pairs, version):
-    """A real add DeltaEntry, classified against the pre-update index."""
+    """A real add DeltaEntry, classified against the pre-update index
+    (``"unknown"`` when ``idx_before`` is None)."""
     from repro.service.deltalog import classify_add
 
     g_after, au, av = apply_add_edges(g_before, pairs)
@@ -39,7 +40,8 @@ def _add_entry(idx_before, g_before, pairs, version):
         applies_to=version - 1,
         a=au,
         b=av,
-        classification=classify_add(idx_before, au, av),
+        classification=("unknown" if idx_before is None
+                        else classify_add(idx_before, au, av)),
     )
 
 
@@ -55,24 +57,24 @@ def _remove_entry(idx_before, g_before, pairs, version):
         applies_to=version - 1,
         a=removed,
         b=np.zeros(0, np.int64),
-        classification=classify_remove(idx_before, removed),
+        classification=("unknown" if idx_before is None
+                        else classify_remove(idx_before, removed)),
     )
 
 
 def _chain(g0, steps):
     """Build (log, final_graph, base_index) from ('add'|'remove', pairs) steps.
 
-    Every entry is classified against the *base* index, like an engine
-    whose cache holds only the chain base.
+    Like an engine whose cache holds only the chain base: the first entry
+    is classified against the base index, and every later entry is
+    logged ``"unknown"`` because its pre-update index is not materialized.
     """
     idx = BCCIndex.build(g0)
     log = DeltaLog("g", graph_fingerprint(g0), 1)
     g = g0
     for i, (kind, pairs) in enumerate(steps):
-        if kind == "add":
-            g, e = _add_entry(idx, g, pairs, i + 2)
-        else:
-            g, e = _remove_entry(idx, g, pairs, i + 2)
+        make = _add_entry if kind == "add" else _remove_entry
+        g, e = make(idx if i == 0 else None, g, pairs, i + 2)
         log.append(e)
     return log, g, idx
 
@@ -168,17 +170,27 @@ class TestPlanMaintenance:
     def test_filtered_removes_shrink(self):
         # dense enough (m > 4n) for tv-filter to keep its certificate
         g0 = gen.random_connected_gnm(40, 300, seed=5)
-        out = np.flatnonzero(~BCCIndex.build(g0).certificate.mask)[:2]
+        out = np.flatnonzero(~BCCIndex.build(g0).certificate.mask)[:4]
         pairs = [(int(g0.u[i]), int(g0.v[i])) for i in out]
-        log, g, idx = _chain(g0, [("remove", pairs)])
-        assert log.classifications() == ("filtered",)
-        plan = plan_maintenance("auto", log, _stored(g), lambda fp: idx)
-        assert plan.strategy == "incremental-shrink"
-        patched = apply_plan(plan)
-        fresh = BCCIndex.build(g)
-        np.testing.assert_array_equal(patched.result.edge_labels, fresh.result.edge_labels)
-        np.testing.assert_array_equal(patched._is_art, fresh._is_art)
-        np.testing.assert_array_equal(patched._is_bridge, fresh._is_bridge)
+        # one removal, then a chain of two: the second entry's edge ids
+        # index the graph after the first, so it is logged unclassified
+        for steps, classes in (
+            ([("remove", pairs[:2])], ("filtered",)),
+            ([("remove", pairs[:2]), ("remove", pairs[2:])],
+             ("filtered", "unknown")),
+        ):
+            log, g, idx = _chain(g0, steps)
+            assert log.classifications() == classes
+            plan = plan_maintenance("auto", log, _stored(g), lambda fp: idx)
+            assert plan.strategy == "incremental-shrink"
+            assert len(plan.entries) == len(steps)
+            patched = apply_plan(plan)
+            assert patched is not None
+            fresh = BCCIndex.build(g)
+            np.testing.assert_array_equal(patched.result.edge_labels,
+                                          fresh.result.edge_labels)
+            np.testing.assert_array_equal(patched._is_art, fresh._is_art)
+            np.testing.assert_array_equal(patched._is_bridge, fresh._is_bridge)
 
     def test_mixed_chain(self):
         # pendant bridge 0-6 off a 6-cycle: an intra add then a bridge remove

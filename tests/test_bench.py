@@ -1,6 +1,7 @@
 """Tests for the experiment harness (runners, report formatting, CLI)."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -198,73 +199,9 @@ class TestAsciiBars:
 
 
 class TestServiceBench:
-    def test_run_service_bench(self):
-        rep = runner.run_service_bench(n=800, ops=300, seed=1, p=4)
-        assert rep.num_ops == 300
-        assert rep.graph_n == 800
-        assert rep.graph_m == 800 * 10  # m = n * round(log2 n)
-        assert rep.throughput_ops_s > 0
-        assert rep.query_p99_us > 0
-        assert rep.cache_hit_rate > 0
-        assert rep.p == 4 and rep.sim_time_s > 0
-        assert "Service-build" in rep.sim_regions
-
-    def test_respects_bench_n_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BENCH_N", "500")
-        rep = runner.run_service_bench(ops=50, seed=1, p=0)
-        assert rep.graph_n == 500
-        assert rep.p is None and rep.sim_time_s is None
-
-    def test_format_service(self):
-        rep = runner.run_service_bench(n=800, ops=300, seed=1, p=4)
-        text = report.format_service(rep)
-        assert "Service workload" in text
-        assert "same_bcc" in text
-        assert "hit rate" in text
-        assert "simulated E4500 (p=4)" in text
-
-    def test_run_service_batch_sweep(self):
-        sweep = runner.run_service_batch_sweep(n=400, items=256, batches=(1, 16), seed=1)
-        assert sweep["graph_n"] == 400
-        assert abs(sum(sweep["mix"].values()) - 1.0) < 1e-9
-        rows = sweep["rows"]
-        assert [r["batch"] for r in rows] == [1, 16]
-        # same item stream at every point: only the record count changes
-        assert all(r["num_query_items"] == 256 for r in rows)
-        assert rows[0]["num_ops"] == 256 and rows[1]["num_ops"] == 16
-        assert rows[0]["speedup_vs_batch1"] == pytest.approx(1.0)
-        assert all(r["items_per_s"] > 0 for r in rows)
-
-    def test_format_service_sweep(self):
-        sweep = runner.run_service_batch_sweep(n=400, items=128, batches=(1, 32), seed=1)
-        text = report.format_service_sweep(sweep)
-        assert "Service batch sweep" in text
-        assert "items/s" in text and "speedup" in text
-        assert "1.0x" in text
-
-    def test_cli_service_json(self, tmp_path, capsys, monkeypatch):
-        from repro.bench.__main__ import main
-
-        # chdir away from the repo root so the experiment's results/
-        # auto-write cannot touch the committed BENCH_service.json
-        monkeypatch.chdir(tmp_path)
-        path = tmp_path / "svc.json"
-        monkey_n = "600"
-        assert main(["service", "--n", monkey_n, "--json", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "Service workload" in out
-        assert "Service batch sweep" in out
-        assert "Service tail latency" in out
-        data = json.loads(path.read_text())
-        assert data["version"] == 4
-        assert data["workload"]["graph_n"] == 600
-        assert data["workload"]["throughput_ops_s"] > 0
-        assert data["workload"]["cache_hit_rate"] > 0
-        sweep = data["batch_sweep"]
-        assert sweep["graph_n"] == 600
-        assert [r["batch"] for r in sweep["rows"]] == [1, 16, 256, 4096]
-        tail = data["tail_latency"]
-        assert tail["graph_n"] == 600
+    def test_run_service_tail_bench(self):
+        tail = runner.run_service_tail_bench(n=300, ops=120, seed=1)
+        assert tail["graph_n"] == 300
         assert tail["sync"]["rebuild_mode"] == "sync"
         assert tail["async"]["rebuild_mode"] == "async"
         assert tail["fresh_verify"]["verified"] is True
@@ -277,59 +214,50 @@ class TestServiceBench:
         assert inc["auto"]["maintenance"] == "auto"
         assert inc["auto_verify"]["verified"] is True
         assert inc["auto_verify"]["mismatches"] == 0
-        assert "Incremental maintenance" in out
+        text = report.format_service_tail(tail)
+        assert "Service tail latency" in text
+        assert "Incremental maintenance" in text
 
-    def test_cli_service_writes_results_dir(self, tmp_path, capsys, monkeypatch):
+    def test_respects_bench_n_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_N", "200")
+        tail = runner.run_service_tail_bench(ops=40, seed=1)
+        assert tail["graph_n"] == 200
+
+    def test_cli_service_json(self, tmp_path, capsys, monkeypatch):
         from repro.bench.__main__ import main
 
+        # the subcommand writes only the --json path, never under results/
         monkeypatch.chdir(tmp_path)
         (tmp_path / "results").mkdir()
-        assert main(["service", "--n", "600"]) == 0
-        assert "wrote results/BENCH_service.json" in capsys.readouterr().out
-        data = json.loads((tmp_path / "results" / "BENCH_service.json").read_text())
-        assert data["version"] == 4
-        assert data["batch_sweep"]["rows"][0]["batch"] == 1
-        assert "tail_latency" in data
+        path = tmp_path / "svc.json"
+        assert main(["service", "--n", "300", "--json", str(path)]) == 0
+        assert "Service tail latency" in capsys.readouterr().out
+        data = json.loads(path.read_text())
+        assert data["graph_n"] == 300
+        assert data["fresh_verify"]["verified"] is True
+        assert list((tmp_path / "results").iterdir()) == []
 
 
-class TestScaleBench:
-    def test_runner_shape_and_verification(self):
-        result = runner.run_scale_bench(
-            n=120, ops=30, shards=(1, 2), clients=(1, 2), batches=(1,),
-            verify=True)
-        rows = result["sweep"]
-        assert len(rows) == 4  # 2 shards x 2 clients x 1 batch
-        assert {(r["shards"], r["clients"]) for r in rows} == {
-            (1, 1), (1, 2), (2, 1), (2, 2)}
-        assert all(r["verified"] is True and r["mismatches"] == 0
-                   for r in rows)
-        assert all(r["clean_shutdown"] and r["leaked_segments"] == 0
-                   for r in rows)
-        assert all(r["throughput_ops_s"] > 0 for r in rows)
-        assert result["scale"]["n"] == 120
-        assert "cpu_count" in result["host"]
+class TestGuard:
+    def test_exits_nonzero_on_any_drift(self, tmp_path, capsys):
+        from repro.bench.__main__ import _save_json, main
 
-    def test_format_scale(self):
-        from repro.bench import report
+        # the guard takes n from the baseline; tiny n keeps this fast
+        baseline = {"fig3": runner.run_fig3(n=200), "fig4": runner.run_fig4(n=200)}
+        path = tmp_path / "baseline.json"
+        _save_json(baseline, str(path))
+        assert main(["guard", "--baseline", str(path)]) == 0
+        assert "272 simulated numbers" in capsys.readouterr().out
 
-        result = runner.run_scale_bench(
-            n=120, ops=20, shards=(1,), clients=(1,), batches=(1, 4),
-            verify=True)
-        text = report.format_scale(result)
-        assert "Cluster scale sweep" in text
-        assert "every configuration verified element-wise" in text
-
-    def test_cli_scale_writes_results_dir(self, tmp_path, capsys, monkeypatch):
-        from repro.bench import runner as _runner
-        from repro.bench.__main__ import main
-
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "results").mkdir()
-        # shrink the grid so the CLI test stays fast
-        monkeypatch.setattr(_runner, "SCALE_SHARDS", (1, 2))
-        monkeypatch.setattr(_runner, "SCALE_CLIENTS", (1,))
-        monkeypatch.setattr(_runner, "SCALE_BATCHES", (1,))
-        assert main(["scale", "--n", "120"]) == 0
-        assert "wrote results/BENCH_scale.json" in capsys.readouterr().out
-        data = json.loads((tmp_path / "results" / "BENCH_scale.json").read_text())
-        assert all(r["verified"] for r in data["sweep"])
+        # one ulp is drift: the comparison is ==, not a tolerance
+        data = json.loads(path.read_text())
+        cell, row = data["fig3"][5], data["fig4"][2]
+        cell["sim_time_s"] = math.nextafter(cell["sim_time_s"], math.inf)
+        row["steps"]["Low-high"] = math.nextafter(row["steps"]["Low-high"], math.inf)
+        path.write_text(json.dumps(data))
+        assert main(["guard", "--baseline", str(path)]) == 1
+        err = capsys.readouterr().err
+        mismatches = [line for line in err.splitlines() if line.startswith("MISMATCH")]
+        assert len(mismatches) == 2
+        assert "sim_time_s" in mismatches[0] and "'Low-high'" in mismatches[1]
+        assert "figures guard FAILED: 2" in err
