@@ -17,8 +17,17 @@ def canonical_edge_labels(labels: np.ndarray) -> np.ndarray:
 
     Two algorithms produce the same partition iff their canonical labels
     are identical arrays (edge order is canonical in :class:`Graph`).
+
+    Labels that already number blocks by first occurrence — the first is
+    0 and each is at most one above the running maximum, as the service
+    patches leave them — are copied after that O(m) check, not sorted.
     """
     labels = np.asarray(labels)
+    if (labels.ndim == 1 and labels.size
+            and np.issubdtype(labels.dtype, np.integer) and labels[0] == 0):
+        seen = np.maximum.accumulate(labels)
+        if labels.min() >= 0 and (labels[1:] <= seen[:-1] + 1).all():
+            return labels.astype(np.int64)
     out = np.full(labels.shape, -1, dtype=np.int64)
     _, first_idx, inverse = np.unique(labels, return_index=True, return_inverse=True)
     # np.unique sorts by value; re-rank by first occurrence

@@ -10,21 +10,23 @@ available):
 
 ``"intra-block"``
     An edge-add whose endpoints already share a biconnected component —
-    :func:`~repro.service.updates.extend_index` patches it in O(m).
+    :func:`~repro.service.updates.extend_index` patches it with one
+    insert per per-edge array and reuses the incidence arrays.
 ``"cross-block"``
     An edge-add joining distinct blocks; the block structure merges
     along a path, so only a full rebuild is safe.
 ``"bridge"``
     A removal of bridge edges only — :func:`~repro.service.updates.shrink_index`
-    drops the affected single-edge components in O(m).
+    deletes the affected single-edge components and their incidences,
+    shifting later block ids down, with no sort.
 ``"filtered"``
     A removal of non-bridge edges from an index that carries tv-filter's
     certificate T ∪ F.  By the paper's §4 theorem (Alg. 2) T ∪ F has the
     same blocks as G, so removing edges outside it leaves every other
     edge in its block; edges of T ∪ F are first swapped out of it when
     another BFS parent and another forest edge exist —
-    :func:`~repro.service.updates.shrink_index` decides, and drops them
-    in O(m) or bails to a rebuild.
+    :func:`~repro.service.updates.shrink_index` decides, and deletes
+    them (incidences reused) or bails to a rebuild.
 ``"structural"``
     Any other removal: a bridge mixed with non-bridges, or no
     certificate on hand; cycles may break and blocks may split.

@@ -15,9 +15,10 @@ per-graph :class:`~repro.service.deltalog.DeltaLog`; the next resolution
 (inline or background) asks the maintenance-strategy registry of
 :mod:`repro.service.maintenance` how to catch up.  Under the default
 ``maintenance="auto"`` a qualifying chain is patched incrementally via
-the O(m) paths of :mod:`repro.service.updates` whenever that is priced
-cheaper than one full rebuild with the configured algorithm (any name
-from ``repro.api.ALGORITHMS``; default ``tv-filter``);
+the insert/delete patches of :mod:`repro.service.updates` (no sort,
+incidence arrays reused) whenever that is priced cheaper than one full
+rebuild with the configured algorithm (any name from
+``repro.api.ALGORITHMS``; default ``tv-filter``);
 ``maintenance="full"`` always rebuilds.  Consecutive updates between
 queries coalesce into at most one resolution either way.
 

@@ -64,35 +64,13 @@ class BCCIndex:
     )
 
     def __init__(self, result: BCCResult, fingerprint: str | None = None,
-                 source: str = "build", *,
-                 art_mask: np.ndarray | None = None,
-                 bridge_mask: np.ndarray | None = None):
+                 source: str = "build"):
+        self._start(result, fingerprint, source)
         g = result.graph
-        self.graph = g
-        self.result = result
-        if fingerprint is None:
-            from .store import graph_fingerprint
-
-            fingerprint = graph_fingerprint(g)
-        self.fingerprint = fingerprint
-        self.source = source
-        self._bct = None
-
-        # the incremental patch paths (repro.service.updates) pass both
-        # masks precomputed from the base index — an intra-block extend
-        # keeps every vertex's block membership, hence the articulation
-        # set, and maps bridge flags through the edge-id shift — so the
-        # patched index skips the two O(m) recomputes a build pays
-        if art_mask is not None:
-            self._is_art = art_mask
-        else:
-            self._is_art = np.zeros(g.n, dtype=bool)
-            self._is_art[result.articulation_points()] = True
-        if bridge_mask is not None:
-            self._is_bridge = bridge_mask
-        else:
-            self._is_bridge = np.zeros(g.m, dtype=bool)
-            self._is_bridge[result.bridges()] = True
+        self._is_art = np.zeros(g.n, dtype=bool)
+        self._is_art[result.articulation_points()] = True
+        self._is_bridge = np.zeros(g.m, dtype=bool)
+        self._is_bridge[result.bridges()] = True
         # canonical edges are sorted lexicographically, so u*n+v is ascending
         self._edge_keys = g.u * np.int64(max(g.n, 1)) + g.v
         # vertex -> sorted block ids, CSR over (vertex, block) incidences;
@@ -112,6 +90,26 @@ class BCCIndex:
             self._vb_keys = np.zeros(0, dtype=np.int64)
             self._vb_blocks = np.zeros(0, dtype=np.int64)
             self._vb_indptr = np.zeros(g.n + 1, dtype=np.int64)
+        self._freeze()
+
+    def _start(self, result: BCCResult, fingerprint: str | None,
+               source: str) -> None:
+        self.graph = result.graph
+        self.result = result
+        if fingerprint is None:
+            from .store import graph_fingerprint
+
+            fingerprint = graph_fingerprint(result.graph)
+        self.fingerprint = fingerprint
+        self.source = source
+        self._bct = None
+
+    def _freeze(self) -> None:
+        # patched indexes share arrays with their base in the engine's
+        # cache, so no index array may be written after construction
+        for name in ("_is_art", "_is_bridge", "_edge_keys", "_vb_indptr",
+                     "_vb_blocks", "_vb_keys"):
+            getattr(self, name).setflags(write=False)
 
     # ------------------------------------------------------------------ #
     # construction
@@ -138,6 +136,72 @@ class BCCIndex:
             g, algorithm=algorithm, machine=machine, backend=backend, p=p
         )
         return cls(result, fingerprint=fingerprint, source="build")
+
+    @classmethod
+    def _patch(
+        cls,
+        base: "BCCIndex",
+        graph: Graph,
+        labels: np.ndarray,
+        *,
+        edge_keys: np.ndarray,
+        bridge_mask: np.ndarray,
+        source: str,
+        fingerprint: str | None = None,
+        certificate=None,
+        dropped_blocks: np.ndarray | None = None,
+    ) -> "BCCIndex":
+        """Index for a patch of ``base`` built from ``base``'s own arrays.
+
+        ``labels`` are ``graph``'s edge labels in ``base``'s block ids,
+        ``edge_keys`` and ``bridge_mask`` its keys and bridge flags, all
+        derived by the caller with one insert or delete.  With
+        ``dropped_blocks`` None, no vertex joins or leaves a block (an
+        intra-block add, a filtered removal), so the articulation mask
+        and the (vertex, block) incidence arrays are shared with
+        ``base``.  Otherwise those single-edge blocks were removed
+        whole: their two incidences go, every higher block id moves down
+        past them, and the articulation mask is recounted from the CSR.
+        All of it is O(n + m) with no sort.  A patch that moves a
+        block's first edge permutes block ids; that falls back to the
+        full constructor.
+        """
+        k = base.result.num_components
+        shift = None
+        if dropped_blocks is not None:
+            gone = np.zeros(k, dtype=bool)
+            gone[dropped_blocks] = True
+            shift = np.cumsum(gone)
+            labels = labels - shift[labels]
+            k -= int(shift[-1])
+        result = BCCResult(graph, labels, algorithm=base.result.algorithm,
+                           certificate=certificate)
+        if result.num_components != k or not np.array_equal(
+                result.edge_labels, labels):
+            return cls(result, fingerprint, source)
+        self = object.__new__(cls)
+        self._start(result, fingerprint, source)
+        self._is_bridge = bridge_mask
+        self._edge_keys = edge_keys
+        if shift is None:
+            self._is_art = base._is_art
+            self._vb_key_mult = base._vb_key_mult
+            self._vb_keys = base._vb_keys
+            self._vb_blocks = base._vb_blocks
+            self._vb_indptr = base._vb_indptr
+        else:
+            stay = ~gone[base._vb_blocks]
+            blocks = base._vb_blocks[stay]
+            counts = np.diff(base._vb_indptr)
+            vert = np.repeat(np.arange(graph.n, dtype=np.int64), counts)[stay]
+            counts = np.bincount(vert, minlength=graph.n)
+            self._is_art = counts >= 2
+            self._vb_key_mult = np.int64(max(k, 1))
+            self._vb_blocks = blocks - shift[blocks]
+            self._vb_keys = vert * self._vb_key_mult + self._vb_blocks
+            self._vb_indptr = np.concatenate(([0], np.cumsum(counts)))
+        self._freeze()
+        return self
 
     # ------------------------------------------------------------------ #
     # input validation

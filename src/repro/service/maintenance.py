@@ -6,8 +6,8 @@ current stored content.  The registry holds three concrete strategies —
 
 ======================  ======================================================
 ``incremental-extend``  patch intra-block edge adds with
-                        :func:`~repro.service.updates.extend_index` (O(m)
-                        relabel per delta, no recompute)
+                        :func:`~repro.service.updates.extend_index` (one
+                        insert per per-edge array, no recompute or sort)
 ``incremental-shrink``  patch bridge removals, and removals tv-filter's
                         certificate can be kept clear of (the §4 theorem:
                         T ∪ F has the same blocks as G), with

@@ -17,8 +17,9 @@ filtering insight, which bounds the edges that can matter — at most
   ``B`` cannot change any other block: every simple u–v path stays inside
   ``B`` (leaving ``B`` through a cut vertex would force the path to revisit
   it), so every cycle through the new edge lies in ``B + {u, v}``.  The new
-  edge simply joins ``B`` — :func:`extend_index` relabels in O(m) without
-  running any algorithm.
+  edge simply joins ``B`` — :func:`extend_index` inserts it at its
+  sorted position in each per-edge array and reuses the base index's
+  incidence arrays, without running any algorithm or sorting.
 * **Removing** a bridge deletes a single-edge block and leaves the
   partition of every remaining edge unchanged — :func:`shrink_index`.
 * **Removing** an edge outside tv-filter's certificate T ∪ F (the §4
@@ -42,6 +43,11 @@ apart in one F-component — T stays a BFS tree and F still spans; any
 other add, and every bridge removal, drops it, so the next non-bridge
 removal rebuilds and the rebuild brings a fresh certificate.
 
+No patch sorts: adds insert at ``searchsorted`` positions, removals
+delete by mask, and :meth:`BCCIndex._patch` builds the patched index
+from the base index's arrays (shared outright when no vertex joins or
+leaves a block), so a patch is a few O(m) copies.
+
 Anything else (an edge between blocks, a removal the certificate cannot
 be refit around or made without one) returns None and the engine falls
 back to a full rebuild via the registered algorithm (default
@@ -52,7 +58,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.result import BCCResult, FilterCertificate
+from ..core.result import FilterCertificate
 from ..graph import Graph
 from ..primitives.connectivity import shiloach_vishkin
 from .index import BCCIndex
@@ -102,19 +108,20 @@ def apply_add_edges(g: Graph, pairs) -> tuple[Graph, np.ndarray, np.ndarray]:
     original graph object is returned unchanged.
     """
     lo, hi = normalize_pairs(g.n, pairs)
-    if lo.size and g.m:
-        keys = _edge_keys(g)
-        probe = lo * np.int64(g.n) + hi
-        pos = np.minimum(np.searchsorted(keys, probe), g.m - 1)
-        new = keys[pos] != probe
-        lo, hi = lo[new], hi[new]
     if lo.size == 0:
         return g, lo, hi
-    ng = Graph(
-        g.n,
-        np.concatenate([g.u, lo]),
-        np.concatenate([g.v, hi]),
-    )
+    # the batch comes back sorted by key, so inserting each new edge at
+    # its searchsorted position keeps the edge list canonical: a memcpy
+    keys = _edge_keys(g)
+    probe = lo * np.int64(g.n) + hi
+    ins = np.searchsorted(keys, probe)
+    if g.m:
+        new = keys[np.minimum(ins, g.m - 1)] != probe
+        lo, hi, ins = lo[new], hi[new], ins[new]
+    if lo.size == 0:
+        return g, lo, hi
+    ng = Graph(g.n, np.insert(g.u, ins, lo), np.insert(g.v, ins, hi),
+               normalize=False)
     return ng, lo, hi
 
 
@@ -176,45 +183,36 @@ def extend_index(
         if common.size == 0:
             return None
         added_labels[i] = common[0]
+    # every per-edge array grows by an insert at the added keys' sorted
+    # positions among the old ones — the same positions apply_add_edges
+    # inserted the edges at
     n = np.int64(max(g.n, 1))
-    new_keys = new_graph.u * n + new_graph.v
-    if g.m:
-        old_keys = index._edge_keys
-        pos = np.minimum(np.searchsorted(old_keys, new_keys), g.m - 1)
-        from_old = old_keys[pos] == new_keys
-    else:
-        pos = np.zeros(new_graph.m, np.int64)
-        from_old = np.zeros(new_graph.m, dtype=bool)
-    labels = np.empty(new_graph.m, dtype=np.int64)
-    labels[from_old] = index.result.edge_labels[pos[from_old]]
-    # the added edges appear among new_keys in sorted key order
     added_keys = added_u * n + added_v
     order = np.argsort(added_keys)
-    if not np.array_equal(new_keys[~from_old], added_keys[order]):
+    added_keys = added_keys[order]
+    ins = np.searchsorted(index._edge_keys, added_keys)
+    keys = np.insert(index._edge_keys, ins, added_keys)
+    if not np.array_equal(new_graph.u * n + new_graph.v, keys):
         return None  # shouldn't happen; bail out to a rebuild rather than corrupt
-    labels[~from_old] = added_labels[order]
+    labels = np.insert(index.result.edge_labels, ins, added_labels[order])
     # the added edges stay outside the carried certificate
     cert = index.certificate
     if cert is not None and _keeps_certificate(cert, added_u, added_v):
-        mask = np.zeros(new_graph.m, dtype=bool)
-        tree = np.zeros(new_graph.m, dtype=bool)
-        mask[from_old] = cert.mask[pos[from_old]]
-        tree[from_old] = cert.tree[pos[from_old]]
-        cert = FilterCertificate(mask, tree, cert.level, cert.component)
+        cert = FilterCertificate(np.insert(cert.mask, ins, False),
+                                 np.insert(cert.tree, ins, False),
+                                 cert.level, cert.component)
     else:
         cert = None
-    result = BCCResult(new_graph, labels, algorithm=index.result.algorithm,
-                       certificate=cert)
     # intra-block adds change no vertex's block membership, so the
-    # articulation set carries over; old edges keep their bridge flag
-    # through the id shift, and an added edge always lands in a block
+    # articulation set and the incidence arrays carry over; old edges
+    # keep their bridge flag, and an added edge always lands in a block
     # that already has edges (the only intra-block pair of a single-edge
     # block is the bridge itself, which already exists), so it is never
     # a bridge
-    bridge_mask = np.zeros(new_graph.m, dtype=bool)
-    bridge_mask[from_old] = index._is_bridge[pos[from_old]]
-    return BCCIndex(result, fingerprint=fingerprint, source="extend",
-                    art_mask=index._is_art, bridge_mask=bridge_mask)
+    return BCCIndex._patch(index, new_graph, labels, edge_keys=keys,
+                           bridge_mask=np.insert(index._is_bridge, ins, False),
+                           source="extend", fingerprint=fingerprint,
+                           certificate=cert)
 
 
 def refit_certificate(
@@ -286,14 +284,18 @@ def shrink_index(
     if new_graph.m != int(keep.sum()):
         return None
     labels = index.result.edge_labels[keep]
+    edge_keys = index._edge_keys[keep]
+    bridge_mask = index._is_bridge[keep]
     if index._is_bridge[removed_ids].all():
         # surviving edges keep their bridge flag (only whole single-edge
         # blocks disappeared); the articulation set does change — a bridge
-        # endpoint can drop to one block — so it is recomputed.  Bridges
-        # lie in every spanning tree, so T changed: the certificate goes.
-        result = BCCResult(new_graph, labels, algorithm=index.result.algorithm)
-        return BCCIndex(result, fingerprint=fingerprint, source="shrink",
-                        bridge_mask=index._is_bridge[keep])
+        # endpoint can drop to one block — so the patch recounts it.
+        # Bridges lie in every spanning tree, so T changed: the
+        # certificate goes.
+        return BCCIndex._patch(
+            index, new_graph, labels, edge_keys=edge_keys,
+            bridge_mask=bridge_mask, source="shrink", fingerprint=fingerprint,
+            dropped_blocks=index.result.edge_labels[removed_ids])
     cert = index.certificate
     if cert is None or index._is_bridge[removed_ids].any():
         return None
@@ -301,8 +303,8 @@ def shrink_index(
     if cert is None:
         return None
     # every vertex keeps its blocks and every block keeps its size class
-    # (a non-bridge block has at least three edges), so both masks carry over
-    result = BCCResult(new_graph, labels, algorithm=index.result.algorithm,
-                       certificate=cert)
-    return BCCIndex(result, fingerprint=fingerprint, source="shrink",
-                    art_mask=index._is_art, bridge_mask=index._is_bridge[keep])
+    # (a non-bridge block has at least three edges), so the articulation
+    # mask and the incidence arrays carry over
+    return BCCIndex._patch(index, new_graph, labels, edge_keys=edge_keys,
+                           bridge_mask=bridge_mask, source="shrink",
+                           fingerprint=fingerprint, certificate=cert)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import tarjan_bcc
 from repro.core.result import BCCResult, canonical_edge_labels
@@ -22,6 +24,55 @@ class TestCanonicalLabels:
 
     def test_empty(self):
         assert canonical_edge_labels(np.array([], dtype=np.int64)).size == 0
+
+
+def _sort_canonical(labels):
+    """The sort-based renumbering, kept as the reference."""
+    labels = np.asarray(labels)
+    _, first_idx, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first_idx))[inverse].astype(np.int64)
+
+
+@st.composite
+def label_arrays(draw):
+    """Canonical arrays, and the same arrays permuted, gapped or shifted
+    negative, with sizes from 0 up."""
+    n = draw(st.integers(0, 40))
+    canon = []
+    for _ in range(n):
+        canon.append(draw(st.integers(0, max(canon, default=-1) + 1)))
+    canon = np.array(canon, dtype=np.int64)
+    k = int(canon.max()) + 1 if n else 0
+    kind = draw(st.sampled_from(["canonical", "permuted", "gapped", "negative",
+                                 "arbitrary"]))
+    if kind == "permuted":
+        perm = np.array(draw(st.permutations(range(k))), dtype=np.int64)
+        return perm[canon] if n else canon
+    if kind == "gapped":
+        return canon * draw(st.integers(2, 5)) + draw(st.integers(0, 3))
+    if kind == "negative":
+        return canon - draw(st.integers(1, 10))
+    if kind == "arbitrary":
+        return np.array(draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n)),
+                        dtype=np.int64)
+    return canon
+
+
+class TestCanonicalLabelsProperty:
+    @given(label_arrays())
+    def test_matches_sort_reference(self, labels):
+        before = labels.copy()
+        out = canonical_edge_labels(labels)
+        assert out.dtype == np.int64
+        np.testing.assert_array_equal(out, _sort_canonical(labels))
+        np.testing.assert_array_equal(labels, before)
+        # always a new array: callers may own the result
+        assert not np.shares_memory(out, labels)
+
+    @pytest.mark.parametrize("labels", [[0], [5], [-3], [0, -1], [0, 2], [1, 0]])
+    def test_small_cases(self, labels):
+        np.testing.assert_array_equal(canonical_edge_labels(np.array(labels)),
+                                      _sort_canonical(labels))
 
 
 class TestBCCResult:

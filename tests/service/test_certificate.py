@@ -41,6 +41,7 @@ from repro.service.updates import (
     extend_index,
     shrink_index,
 )
+from tests.service.oracle import assert_same_index
 
 
 def dense_graph(n=60, m=400, seed=1):
@@ -62,10 +63,7 @@ def with_ear(g):
 
 
 def assert_same_as_build(idx: BCCIndex) -> None:
-    fresh = BCCIndex.build(idx.graph)
-    np.testing.assert_array_equal(idx.result.edge_labels, fresh.result.edge_labels)
-    np.testing.assert_array_equal(idx._is_art, fresh._is_art)
-    np.testing.assert_array_equal(idx._is_bridge, fresh._is_bridge)
+    assert_same_index(idx, BCCIndex.build(idx.graph))
 
 
 def _same_partition(a, b) -> bool:

@@ -24,6 +24,7 @@ from repro.service.maintenance import (
 from repro.service.store import graph_fingerprint
 from repro.service.updates import apply_add_edges, apply_remove_edges
 from repro.smp import VECTORIZED_HOST
+from tests.service.oracle import assert_same_index
 
 
 def _add_entry(idx_before, g_before, pairs, version):
@@ -186,11 +187,7 @@ class TestPlanMaintenance:
             assert len(plan.entries) == len(steps)
             patched = apply_plan(plan)
             assert patched is not None
-            fresh = BCCIndex.build(g)
-            np.testing.assert_array_equal(patched.result.edge_labels,
-                                          fresh.result.edge_labels)
-            np.testing.assert_array_equal(patched._is_art, fresh._is_art)
-            np.testing.assert_array_equal(patched._is_bridge, fresh._is_bridge)
+            assert_same_index(patched, BCCIndex.build(g))
 
     def test_mixed_chain(self):
         # pendant bridge 0-6 off a 6-cycle: an intra add then a bridge remove
@@ -262,11 +259,7 @@ class TestApplyPlan:
         out = apply_plan(plan)
         assert out is not None
         assert out.fingerprint == graph_fingerprint(g)
-        fresh = BCCIndex.build(g)
-        np.testing.assert_array_equal(out.result.edge_labels,
-                                      fresh.result.edge_labels)
-        np.testing.assert_array_equal(out._is_art, fresh._is_art)
-        np.testing.assert_array_equal(out._is_bridge, fresh._is_bridge)
+        assert_same_index(out, BCCIndex.build(g))
 
     def test_mixed_chain_matches_fresh_build(self):
         log, g, idx = _chain(
@@ -275,10 +268,7 @@ class TestApplyPlan:
         assert plan.strategy == "incremental-mixed"
         out = apply_plan(plan)
         assert out is not None
-        fresh = BCCIndex.build(g)
-        np.testing.assert_array_equal(out.result.edge_labels,
-                                      fresh.result.edge_labels)
-        np.testing.assert_array_equal(out._is_bridge, fresh._is_bridge)
+        assert_same_index(out, BCCIndex.build(g))
 
     def test_guard_bail_returns_none(self):
         # an entry claiming an add the graph never gained trips

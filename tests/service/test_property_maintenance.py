@@ -11,8 +11,8 @@ via extend/shrink) answers bit-identically to ``maintenance="full"``
   some real version);
 * a deterministic sweep over the QA corpus applies seeded churn —
   biased toward intra-block adds and bridge removals so the incremental
-  paths actually fire — and checks the full answer surface after every
-  step.
+  paths actually fire — and checks the full answer surface, and every
+  index array, after every step.
 """
 
 import zlib
@@ -27,6 +27,7 @@ from repro.core.tarjan import tarjan_bcc
 from repro.graph import generators as gen
 from repro.qa.corpus import named_corpus
 from repro.service.engine import ServiceEngine
+from tests.service.oracle import assert_same_index
 
 N = 10  # small vertex count keeps the per-version Tarjan oracle cheap
 
@@ -175,6 +176,7 @@ def test_auto_equals_full_over_corpus_churn(name, graph):
         getattr(auto, method)("g", batch)
         getattr(full, method)("g", batch)
         assert _answer_surface(auto, graph.n) == _answer_surface(full, graph.n)
+        assert_same_index(auto.index_for("g"), full.index_for("g"))
     # every effective update must have been caught up by some strategy
     if auto.stats.updates - auto.stats.noop_updates > 0:
         assert auto.stats.rebuilds_incremental + auto.stats.rebuilds_full > 0

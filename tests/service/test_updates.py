@@ -14,17 +14,14 @@ from repro.service.updates import (
     normalize_pairs,
     shrink_index,
 )
+from tests.service.oracle import assert_same_index
 
 
 def assert_index_fresh(idx: BCCIndex) -> None:
     """An incrementally maintained index must equal a from-scratch one."""
-    fresh = BCCIndex.build(idx.graph, algorithm="sequential")
     # BCCResult canonicalizes labels by first occurrence, so identical
     # partitions mean identical label arrays
-    np.testing.assert_array_equal(idx.result.edge_labels, fresh.result.edge_labels)
-    np.testing.assert_array_equal(idx._is_art, fresh._is_art)
-    np.testing.assert_array_equal(idx._is_bridge, fresh._is_bridge)
-    assert idx.num_components() == fresh.num_components()
+    assert_same_index(idx, BCCIndex.build(idx.graph, algorithm="sequential"))
 
 
 class TestNormalizePairs:
@@ -55,6 +52,18 @@ class TestApplyAddEdges:
         assert lo.tolist() == [0] and hi.tolist() == [3]
         assert ng.m == g.m + 1
         assert graph_fingerprint(ng) != graph_fingerprint(g)
+
+    def test_inserted_graph_is_canonical(self):
+        # duplicates, both orientations, self-loops and existing edges:
+        # the inserted edge list equals a normalized rebuild
+        g = gen.random_gnm(40, 120, seed=3)
+        rng = np.random.default_rng(3)
+        pairs = rng.integers(0, 40, size=(60, 2))
+        pairs = np.concatenate([pairs, pairs[:10, ::-1], g.edges()[:5]])
+        ng, au, av = apply_add_edges(g, pairs)
+        ref = Graph(40, np.concatenate([g.u, pairs[:, 0]]),
+                    np.concatenate([g.v, pairs[:, 1]]))
+        assert ng == ref and au.size == ref.m - g.m
 
     def test_add_to_empty_graph(self):
         g = Graph(4, [], [])
@@ -158,6 +167,59 @@ class TestShrinkIndex:
         ng, removed = apply_remove_edges(g, [(0, 4), (0, 1)])
         assert removed.size == 2
         assert shrink_index(idx, ng, removed) is None
+
+
+class TestPatchReuse:
+    """Patches build from the base index's arrays; the oracle above checks
+    they still equal a fresh build."""
+
+    def test_intra_block_add_shares_incidence_arrays(self):
+        g = gen.cycle_graph(6)
+        idx = BCCIndex.build(g)
+        ng, au, av = apply_add_edges(g, [(0, 3)])
+        out = extend_index(idx, ng, au, av)
+        for name in ("_is_art", "_vb_keys", "_vb_blocks", "_vb_indptr"):
+            assert getattr(out, name) is getattr(idx, name)
+        assert_index_fresh(out)
+
+    def test_add_that_moves_a_block_first_falls_back(self):
+        # triangle A = {0, 2, 3} numbers first (edge (0, 2)), block
+        # B = {0, 1, 4, 5} second (edge (0, 4)); the chord (0, 1) of B
+        # becomes the first edge, so the two block ids swap
+        g = Graph(6, [0, 0, 2, 0, 0, 4, 1, 1], [2, 3, 3, 4, 5, 5, 4, 5])
+        idx = BCCIndex.build(g)
+        ng, au, av = apply_add_edges(g, [(0, 1)])
+        out = extend_index(idx, ng, au, av)
+        assert out is not None and out._vb_blocks is not idx._vb_blocks
+        assert out.component_of_edge(0, 2) == 1
+        assert_index_fresh(out)
+
+    def test_bridge_removal_shifts_later_blocks(self):
+        # triangles {0, 1, 2} and {3, 4, 5} joined by the bridge (2, 3):
+        # the second triangle's block id drops from 2 to 1
+        g = Graph(6, [0, 0, 1, 2, 3, 3, 4], [1, 2, 2, 3, 4, 5, 5])
+        idx = BCCIndex.build(g)
+        assert idx.is_articulation(2) and idx.component_of_edge(3, 4) == 2
+        ng, removed = apply_remove_edges(g, [(2, 3)])
+        out = shrink_index(idx, ng, removed)
+        assert out.component_of_edge(3, 4) == 1
+        assert not out.articulation_mask().any()
+        assert_index_fresh(out)
+
+    def test_index_arrays_are_read_only(self):
+        g = gen.cycle_graph(6)
+        idx = BCCIndex.build(g)
+        ng, au, av = apply_add_edges(g, [(0, 3)])
+        out = extend_index(idx, ng, au, av)
+        before = idx.same_bcc_many([[0, 3], [1, 4]])
+        with pytest.raises(ValueError, match="read-only"):
+            out._vb_blocks[0] = 5
+        for name in ("_is_art", "_is_bridge", "_edge_keys", "_vb_keys",
+                     "_vb_indptr"):
+            assert not getattr(out, name).flags.writeable
+            assert not getattr(idx, name).flags.writeable
+        np.testing.assert_array_equal(idx.same_bcc_many([[0, 3], [1, 4]]), before)
+        assert idx.blocks_of(0).tolist() == [0]
 
 
 class TestBailOutGuards:
