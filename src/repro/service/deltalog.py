@@ -17,8 +17,8 @@ available):
     along a path, so only a full rebuild is safe.
 ``"bridge"``
     A removal of bridge edges only — :func:`~repro.service.updates.shrink_index`
-    deletes the affected single-edge components and their incidences,
-    shifting later block ids down, with no sort.
+    deletes the affected single-edge components, keeps every other
+    edge's label and reindexes them.
 ``"filtered"``
     A removal of non-bridge edges from an index that carries tv-filter's
     certificate T ∪ F.  By the paper's §4 theorem (Alg. 2) T ∪ F has the

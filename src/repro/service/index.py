@@ -149,57 +149,31 @@ class BCCIndex:
         source: str,
         fingerprint: str | None = None,
         certificate=None,
-        dropped_blocks: np.ndarray | None = None,
     ) -> "BCCIndex":
         """Index for a patch of ``base`` built from ``base``'s own arrays.
 
         ``labels`` are ``graph``'s edge labels in ``base``'s block ids,
         ``edge_keys`` and ``bridge_mask`` its keys and bridge flags, all
-        derived by the caller with one insert or delete.  With
-        ``dropped_blocks`` None, no vertex joins or leaves a block (an
-        intra-block add, a filtered removal), so the articulation mask
-        and the (vertex, block) incidence arrays are shared with
-        ``base``.  Otherwise those single-edge blocks were removed
-        whole: their two incidences go, every higher block id moves down
-        past them, and the articulation mask is recounted from the CSR.
-        All of it is O(n + m) with no sort.  A patch that moves a
-        block's first edge permutes block ids; that falls back to the
-        full constructor.
+        derived by the caller with one insert or delete.  The caller
+        guarantees that no vertex joins or leaves a block (an intra-block
+        add, a filtered removal), so the articulation mask and the
+        (vertex, block) incidence arrays are shared with ``base``.  A
+        patch that moves a block's first edge permutes block ids; that
+        falls back to the full constructor.
         """
-        k = base.result.num_components
-        shift = None
-        if dropped_blocks is not None:
-            gone = np.zeros(k, dtype=bool)
-            gone[dropped_blocks] = True
-            shift = np.cumsum(gone)
-            labels = labels - shift[labels]
-            k -= int(shift[-1])
         result = BCCResult(graph, labels, algorithm=base.result.algorithm,
                            certificate=certificate)
-        if result.num_components != k or not np.array_equal(
-                result.edge_labels, labels):
+        if not np.array_equal(result.edge_labels, labels):
             return cls(result, fingerprint, source)
         self = object.__new__(cls)
         self._start(result, fingerprint, source)
         self._is_bridge = bridge_mask
         self._edge_keys = edge_keys
-        if shift is None:
-            self._is_art = base._is_art
-            self._vb_key_mult = base._vb_key_mult
-            self._vb_keys = base._vb_keys
-            self._vb_blocks = base._vb_blocks
-            self._vb_indptr = base._vb_indptr
-        else:
-            stay = ~gone[base._vb_blocks]
-            blocks = base._vb_blocks[stay]
-            counts = np.diff(base._vb_indptr)
-            vert = np.repeat(np.arange(graph.n, dtype=np.int64), counts)[stay]
-            counts = np.bincount(vert, minlength=graph.n)
-            self._is_art = counts >= 2
-            self._vb_key_mult = np.int64(max(k, 1))
-            self._vb_blocks = blocks - shift[blocks]
-            self._vb_keys = vert * self._vb_key_mult + self._vb_blocks
-            self._vb_indptr = np.concatenate(([0], np.cumsum(counts)))
+        self._is_art = base._is_art
+        self._vb_key_mult = base._vb_key_mult
+        self._vb_keys = base._vb_keys
+        self._vb_blocks = base._vb_blocks
+        self._vb_indptr = base._vb_indptr
         self._freeze()
         return self
 

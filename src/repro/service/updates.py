@@ -21,7 +21,9 @@ filtering insight, which bounds the edges that can matter — at most
   sorted position in each per-edge array and reuses the base index's
   incidence arrays, without running any algorithm or sorting.
 * **Removing** a bridge deletes a single-edge block and leaves the
-  partition of every remaining edge unchanged — :func:`shrink_index`.
+  partition of every remaining edge unchanged — :func:`shrink_index`
+  keeps the surviving labels and reindexes them with the plain
+  constructor, since later block ids move down.
 * **Removing** an edge outside tv-filter's certificate T ∪ F (the §4
   theorem of Alg. 2: for a BFS tree T of G and a spanning forest F of
   G − T, T ∪ F has the same blocks as G) leaves T a BFS tree and F a
@@ -43,10 +45,10 @@ apart in one F-component — T stays a BFS tree and F still spans; any
 other add, and every bridge removal, drops it, so the next non-bridge
 removal rebuilds and the rebuild brings a fresh certificate.
 
-No patch sorts: adds insert at ``searchsorted`` positions, removals
-delete by mask, and :meth:`BCCIndex._patch` builds the patched index
-from the base index's arrays (shared outright when no vertex joins or
-leaves a block), so a patch is a few O(m) copies.
+Intra-block adds and filtered removals do not sort: adds insert at
+``searchsorted`` positions, removals delete by mask, and
+:meth:`BCCIndex._patch` shares the base index's incidence arrays (no
+vertex joins or leaves a block), so such a patch is a few O(m) copies.
 
 Anything else (an edge between blocks, a removal the certificate cannot
 be refit around or made without one) returns None and the engine falls
@@ -58,7 +60,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.result import FilterCertificate
+from ..core.result import BCCResult, FilterCertificate
 from ..graph import Graph
 from ..primitives.connectivity import shiloach_vishkin
 from .index import BCCIndex
@@ -284,18 +286,13 @@ def shrink_index(
     if new_graph.m != int(keep.sum()):
         return None
     labels = index.result.edge_labels[keep]
-    edge_keys = index._edge_keys[keep]
-    bridge_mask = index._is_bridge[keep]
     if index._is_bridge[removed_ids].all():
-        # surviving edges keep their bridge flag (only whole single-edge
-        # blocks disappeared); the articulation set does change — a bridge
-        # endpoint can drop to one block — so the patch recounts it.
-        # Bridges lie in every spanning tree, so T changed: the
-        # certificate goes.
-        return BCCIndex._patch(
-            index, new_graph, labels, edge_keys=edge_keys,
-            bridge_mask=bridge_mask, source="shrink", fingerprint=fingerprint,
-            dropped_blocks=index.result.edge_labels[removed_ids])
+        # only whole single-edge blocks disappeared, but later block ids
+        # move down and a bridge endpoint can drop to one block, so the
+        # index is rebuilt from the labels.  Bridges lie in every
+        # spanning tree, so T changed: the certificate goes.
+        result = BCCResult(new_graph, labels, algorithm=index.result.algorithm)
+        return BCCIndex(result, fingerprint=fingerprint, source="shrink")
     cert = index.certificate
     if cert is None or index._is_bridge[removed_ids].any():
         return None
@@ -305,6 +302,7 @@ def shrink_index(
     # every vertex keeps its blocks and every block keeps its size class
     # (a non-bridge block has at least three edges), so the articulation
     # mask and the incidence arrays carry over
-    return BCCIndex._patch(index, new_graph, labels, edge_keys=edge_keys,
-                           bridge_mask=bridge_mask, source="shrink",
+    return BCCIndex._patch(index, new_graph, labels,
+                           edge_keys=index._edge_keys[keep],
+                           bridge_mask=index._is_bridge[keep], source="shrink",
                            fingerprint=fingerprint, certificate=cert)

@@ -206,6 +206,15 @@ class TestPatchReuse:
         assert not out.articulation_mask().any()
         assert_index_fresh(out)
 
+    def test_removing_the_last_block_bridge_recounts_articulation(self):
+        # the surviving labels stay canonical, but vertex 2 leaves a block
+        g = gen.path_graph(4)
+        idx = BCCIndex.build(g)
+        ng, removed = apply_remove_edges(g, [(2, 3)])
+        out = shrink_index(idx, ng, removed)
+        assert not out.is_articulation(2) and out.blocks_of(3).size == 0
+        assert_index_fresh(out)
+
     def test_index_arrays_are_read_only(self):
         g = gen.cycle_graph(6)
         idx = BCCIndex.build(g)
