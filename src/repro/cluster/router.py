@@ -9,7 +9,7 @@ of workload records by scatter/gather:
    sequence numbers; see :mod:`repro.cluster.frames`) and apply tenant
    admission,
 2. ``Cluster-scatter`` — dispatch every frame to its shard (concurrently
-   on the process backend),
+   on the process backend) and decode its answers,
 3. ``Cluster-gather`` — reassemble answers into the original record
    order.
 

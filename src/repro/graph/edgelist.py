@@ -103,12 +103,15 @@ class Graph:
         return np.stack([self.u, self.v], axis=1)
 
     def has_edge(self, a: int, b: int) -> bool:
-        """Membership test for a single edge (O(log m) via binary search)."""
-        lo, hi = (a, b) if a < b else (b, a)
-        key = self.u * np.int64(self.n) + self.v
-        probe = np.int64(lo) * np.int64(self.n) + np.int64(hi)
-        i = int(np.searchsorted(key, probe))
-        return i < key.size and key[i] == probe
+        """Membership test for a single edge (O(log m) via binary search).
+
+        One search in ``u`` finds the row of the smaller endpoint, a
+        second in that row's slice of ``v`` finds the larger one.
+        """
+        lo, hi = (int(a), int(b)) if a < b else (int(b), int(a))
+        start, stop = np.searchsorted(self.u, (lo, lo + 1))
+        i = start + int(np.searchsorted(self.v[start:stop], hi))
+        return bool(i < stop and self.v[i] == hi)
 
     # ------------------------------------------------------------------ #
     # conversions

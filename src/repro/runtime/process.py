@@ -13,6 +13,11 @@ Wire protocol (one duplex :func:`multiprocessing.Pipe` per worker)::
     ("release", [names])   -> ("ok", None)     # drop cached attachments
     ("close",)             -> worker exits
 
+:meth:`ProcessTeam.dispatch` sends ``run`` messages to a chosen set of
+ranks, each with its own arguments, and waits on those ranks alone;
+``parallel_for`` is ``dispatch`` to every rank with the same arguments.
+A message is pickled once however many ranks receive it.
+
 A successful run's ``span`` is ``(t0_ns, t1_ns, fn_name)`` — the worker's
 measured execution interval (``perf_counter_ns``, monotonic and
 host-wide on Linux, so parent and worker timestamps share a timeline) —
@@ -28,6 +33,11 @@ allocated through the team are pickled by value: fine for small read-only
 broadcast data (e.g. a p-element offsets vector), but writes to them do
 not propagate, so kernels allocate every output through
 ``team.empty/zeros/full/share``.
+
+Workers call :func:`gc.freeze` as soon as they start.  A forked worker
+inherits the parent's whole Python heap; without the freeze each of its
+generation-2 collections walks that heap (and, by touching every object
+header, copies it page by page on write).  See ``docs/runtime.md``.
 
 Two CPython sharp edges are handled here:
 
@@ -48,12 +58,14 @@ worker) and can be overridden with ``REPRO_RUNTIME_START``.
 from __future__ import annotations
 
 import atexit
+import gc
 import multiprocessing as mp
 import os
 import time
 import weakref
 from multiprocessing import resource_tracker, shared_memory
-from typing import Callable, Dict, Tuple
+from multiprocessing.reduction import ForkingPickler
+from typing import Callable, Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -130,6 +142,9 @@ def _disable_worker_shm_tracking() -> None:
 
 
 def _worker_main(rank: int, p: int, conn) -> None:
+    # everything inherited at fork is long-lived from here on: keep the
+    # cyclic collector from walking (and copying on write) the parent's heap
+    gc.freeze()
     _disable_worker_shm_tracking()
     cache: Dict[str, Tuple[shared_memory.SharedMemory, np.ndarray]] = {}
     try:
@@ -271,8 +286,8 @@ class ProcessTeam(Team):
             self.telemetry.event("shm.release", count=len(names))
         try:
             if not self._shutdown:
-                sent = self._broadcast(("release", names))
-                self._collect(expected=sent)
+                msg = ForkingPickler.dumps(("release", names))
+                self._exchange(dict.fromkeys(range(self.p), msg))
         finally:
             # unlink unconditionally — a worker crash mid-release must not
             # leak the segments (names are already popped from _by_id)
@@ -293,21 +308,22 @@ class ProcessTeam(Team):
                 return _ShmRef(name, arg.shape, arg.dtype.str)
         return arg
 
-    def _broadcast(self, msg) -> list:
-        """Send to every worker; returns the ranks that accepted the message.
+    def _exchange(self, msgs: dict) -> None:
+        """Send each rank in ``msgs`` its pickled message, then collect.
 
         A send can fail only when the worker is already dead (broken
         pipe); that rank is skipped — not raised — so the remaining
-        workers still receive the job and stay in protocol sync.
+        ranks still receive their messages and stay in protocol sync,
+        and :meth:`_collect` reports the dead one.
         """
-        sent = []
-        for rank, conn in enumerate(self._conns):
+        sent = set()
+        for rank, buf in msgs.items():
             try:
-                conn.send(msg)
-                sent.append(rank)
+                self._conns[rank].send_bytes(buf)
+                sent.add(rank)
             except (BrokenPipeError, OSError):
                 pass
-        return sent
+        self._collect(msgs, sent)
 
     def _recv(self, rank: int):
         """One response from ``rank``, or ``None`` if the worker died.
@@ -331,18 +347,19 @@ class ProcessTeam(Team):
                     pass
                 return None
 
-    def _collect(self, expected=None) -> None:
-        """Gather one response per worker, then aggregate failures.
+    def _collect(self, ranks: Iterable[int], sent: set) -> None:
+        """Gather one response per rank in ``ranks``, then aggregate failures.
 
-        Every expected rank is drained before anything is raised —
-        raising at the first dead worker would leave the later workers'
-        responses queued in their pipes and desynchronize the next job.
-        Dead workers are respawned so the team remains usable.
+        Only the given ranks are waited on.  Every one is drained before
+        anything is raised — raising at the first dead worker would
+        leave the later workers' responses queued in their pipes and
+        desynchronize the next job.  A rank that never got its message
+        (``sent``) or died is reported and respawned, so the team
+        remains usable.
         """
-        expected = set(range(self.p) if expected is None else expected)
         errors, dead = [], []
-        for rank in range(self.p):
-            resp = self._recv(rank) if rank in expected else None
+        for rank in sorted(ranks):
+            resp = self._recv(rank) if rank in sent else None
             if resp is None:
                 proc = self._procs[rank]
                 proc.join(timeout=1)  # reap, so exitcode is populated
@@ -364,18 +381,31 @@ class ProcessTeam(Team):
             self._respawn(rank)
         raise_aggregate(errors)
 
-    def parallel_for(self, n: int, body: Callable, *args) -> None:
-        """Run ``body(rank, lo, hi, *args)`` on every worker over range(n).
+    def dispatch(self, n: int, body: Callable, rank_args: dict) -> None:
+        """Run ``body(rank, lo, hi, *rank_args[rank])`` on the given ranks.
 
-        ``body`` must be module-level (pickled by reference); shared
-        arrays in ``args`` travel as name markers, everything else by
-        value.
+        ``lo, hi`` is the rank's block of range(n).  Ranks missing from
+        ``rank_args`` are neither woken nor waited on.  ``body`` must be
+        module-level (pickled by reference); shared arrays in the
+        arguments travel as name markers, everything else by value.
+        Each distinct argument tuple is pickled once.
         """
         if self._shutdown:
             raise RuntimeError("team already shut down")
-        wire_args = tuple(self._wire(a) for a in args)
-        sent = self._broadcast(("run", body, n, wire_args))
-        self._collect(expected=sent)
+        pickled: dict = {}
+        msgs = {}
+        for rank, args in rank_args.items():
+            buf = pickled.get(id(args))
+            if buf is None:
+                wire_args = tuple(self._wire(a) for a in args)
+                buf = pickled[id(args)] = ForkingPickler.dumps(("run", body, n, wire_args))
+            msgs[rank] = buf
+        self._exchange(msgs)
+
+    def parallel_for(self, n: int, body: Callable, *args) -> None:
+        """Run ``body(rank, lo, hi, *args)`` on every worker over range(n)
+        (:meth:`dispatch` to every rank with the same arguments)."""
+        self.dispatch(n, body, dict.fromkeys(range(self.p), args))
 
     # -- lifecycle ------------------------------------------------------ #
 

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.graph import Graph
+from tests.strategies import gnm_graphs
 
 
 class TestNormalization:
@@ -70,6 +72,26 @@ class TestProperties:
         assert g.has_edge(3, 1)
         assert not g.has_edge(0, 3)
         assert not g.has_edge(2, 3)
+
+    @given(g=gnm_graphs(min_n=1, max_n=30), data=st.data())
+    def test_has_edge_matches_set_membership(self, g, data):
+        edges = set(zip(g.u.tolist(), g.v.tolist()))
+        probes = [(int(a), int(b)) for a, b in zip(g.u, g.v)]
+        probes += data.draw(st.lists(
+            st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1)),
+            max_size=40,
+        ))
+        for a, b in probes:
+            want = (min(a, b), max(a, b)) in edges
+            assert g.has_edge(a, b) is want
+            assert g.has_edge(b, a) is want
+        for v in range(g.n):
+            assert g.has_edge(v, v) is False
+
+    def test_has_edge_out_of_range_probe_is_not_an_edge(self):
+        # the key u * n + v of (0, 7) equals that of the edge (1, 2) at n = 5
+        g = Graph(5, [1], [2])
+        assert not g.has_edge(0, 7)
 
     def test_arcs_both_directions(self):
         g = Graph(3, [0, 1], [1, 2])

@@ -10,6 +10,7 @@ and process teams and assert the hardened failure contract:
 * the team stays usable after any of the above.
 """
 
+import os
 import subprocess
 import sys
 import textwrap
@@ -31,6 +32,10 @@ def _noop(rank, lo, hi):
 
 def _fill_rank(rank, lo, hi, out):
     out[lo:hi] = rank
+
+
+def _die(rank, lo, hi):
+    os._exit(KILL_EXIT_CODE)
 
 
 class TestFaultPlan:
@@ -131,6 +136,17 @@ class TestKillMode:
             inner.parallel_for(8, _fill_rank, out)
             np.testing.assert_array_equal(out, [0, 0, 0, 0, 1, 1, 1, 1])
             inner.release(out)
+
+    def test_killed_dispatched_worker_raises_and_is_respawned(self):
+        with ProcessTeam(2) as team:
+            pids = [proc.pid for proc in team._procs]
+            out = team.full(2, -1, np.int64)
+            with pytest.raises(RuntimeError, match="worker 1 .*died unexpectedly"):
+                team.dispatch(2, _die, {1: ()})
+            assert team._procs[0].pid == pids[0]  # never woken
+            assert team._procs[1].pid != pids[1]
+            team.dispatch(2, _fill_rank, {1: (out,)})
+            np.testing.assert_array_equal(out, [-1, 1])
 
     def test_multi_kill_aggregates_every_death(self):
         with ProcessTeam(2) as inner:

@@ -1,8 +1,11 @@
 """Team protocol tests: block splits, serial/process backends, registry."""
 
+import gc
+
 import numpy as np
 import pytest
 
+from repro.obs import Sink, Telemetry
 from repro.runtime import (
     BACKEND_NAMES,
     ProcessTeam,
@@ -171,7 +174,47 @@ def _raise_rank0(rank, lo, hi):
         raise KeyError("only rank 0")
 
 
+def _write_freeze_count(rank, lo, hi, out):
+    out[rank] = gc.get_freeze_count()
+
+
+def _write_arg(rank, lo, hi, out, value):
+    out[rank] = value
+
+
 class TestProcessTeam:
+    def test_forked_worker_freezes_inherited_heap(self):
+        with ProcessTeam(2) as team:
+            out = team.zeros(2, np.int64)
+            team.parallel_for(2, _write_freeze_count, out)
+            assert (out > 0).all(), out
+
+    def test_dispatch_runs_only_the_given_ranks(self):
+        with ProcessTeam(3) as team:
+            out = team.full(3, -1, np.int64)
+            team.dispatch(3, _write_arg, {0: (out, 10), 2: (out, 12)})
+            np.testing.assert_array_equal(out, [10, -1, 12])
+
+    def test_dispatch_to_no_rank_is_a_noop(self):
+        with ProcessTeam(2) as team:
+            team.dispatch(2, _write_arg, {})
+            out = team.zeros(2, np.int64)
+            team.parallel_for(2, _write_arg, out, 5)
+            np.testing.assert_array_equal(out, [5, 5])
+
+    def test_dispatch_reports_only_dispatched_worker_spans(self):
+        spans = []
+
+        class Spans(Sink):
+            def on_worker_span(self, worker, name, path, t0_ns, t1_ns):
+                spans.append(worker)
+
+        with ProcessTeam(2) as team:
+            team.telemetry = Telemetry([Spans()])
+            out = team.zeros(2, np.int64)
+            team.dispatch(2, _write_arg, {1: (out, 3)})
+        assert spans == [1]
+
     def test_shared_writes_visible_to_parent(self):
         with ProcessTeam(3) as team:
             out = team.empty(10, np.int64)
