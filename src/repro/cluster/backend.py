@@ -377,6 +377,7 @@ class ProcessBackend(ShardBackend):
         self.team.telemetry = telemetry
         self._graph_arrays: list = []  # keep shm-backed graph arrays alive
         self._answers = None  # the grow-only answer segment (_answer_rows)
+        self._stats = None  # the stats segment (shard_stats)
         self.team.parallel_for(
             num_shards, _w_configure, algorithm, cache_size, rebuild_mode,
             coalesce_ms, staleness_budget_ms, maintenance,
@@ -421,15 +422,16 @@ class ProcessBackend(ShardBackend):
         return _decode_frames(frames, out)
 
     def shard_stats(self) -> list:
-        out = self.team.zeros((self.num_shards, len(_ROW_FIELDS)), np.int64)
-        try:
-            self.team.parallel_for(self.num_shards, _w_stats, out)
-            return [
-                _with_hit_rate(dict(zip(_ROW_FIELDS, map(int, out[shard]))))
-                for shard in range(self.num_shards)
-            ]
-        finally:
-            self.team.release(out)
+        # one stats segment for the backend's life, as for the answers
+        if self._stats is None:
+            self._stats = self.team.empty((self.num_shards, len(_ROW_FIELDS)), np.int64)
+        out = self._stats
+        out[:] = 0
+        self.team.parallel_for(self.num_shards, _w_stats, out)
+        return [
+            _with_hit_rate(dict(zip(_ROW_FIELDS, map(int, out[shard]))))
+            for shard in range(self.num_shards)
+        ]
 
     @property
     def live_segments(self) -> int:
@@ -441,9 +443,10 @@ class ProcessBackend(ShardBackend):
         return all(proc is None or not proc.is_alive() for proc in self.team._procs)
 
     def close(self) -> None:
-        # team.close() unlinks every segment, the answer segment included
+        # team.close() unlinks every segment, the answer and stats ones included
         self._graph_arrays.clear()
         self._answers = None
+        self._stats = None
         try:
             self.team.parallel_for(self.num_shards, _w_close)
         except Exception:

@@ -11,8 +11,11 @@ BFS serves two roles in the paper:
 The implementation is the standard frontier-expansion BFS: each level
 gathers all arcs out of the frontier (one irregular gather), filters
 unvisited heads, and resolves discovery races with a first-writer-wins rule
-(CRCW arbitrary).  Work O(n + m) over d rounds; expected time O((n + m)/p)
-whenever frontiers are larger than p (paper §4's performance argument).
+(CRCW arbitrary, :class:`FirstWriter`).  Work O(n + m) over d rounds;
+expected time O((n + m)/p) whenever frontiers are larger than p (paper §4's
+performance argument).  A forest that must cover a disconnected graph grows
+every tree after the first in one multi-source pass, so its frontiers stay
+large and it pays d barriers rather than one restart per component.
 """
 
 from __future__ import annotations
@@ -22,8 +25,9 @@ import numpy as np
 from ..graph import CSRGraph, Graph
 from ..runtime.context import current_team
 from ..smp import Machine, Ops, resolve_machine
+from .connectivity import shiloach_vishkin
 
-__all__ = ["BFSResult", "bfs", "bfs_forest"]
+__all__ = ["BFSResult", "FirstWriter", "bfs", "bfs_forest", "tree_seeds"]
 
 
 class BFSResult:
@@ -76,37 +80,100 @@ def bfs(
     return bfs_forest(g, roots=np.array([root], dtype=np.int64), machine=machine, csr=csr)
 
 
-def root_picker(parent, roots: np.ndarray | None, cover_all: bool):
-    """The forest's root order as a ``next_root()`` callable (None: done).
+#: A level whose proposals number fewer than ``n / _SORT_BELOW`` sorts them
+#: to list its new vertices; larger levels scan a mark array of length n
+#: instead.  Either way the list is ascending, so the choice never shows in
+#: the output; it only keeps high-diameter graphs (paths: one proposal per
+#: level) from paying an O(n) scan per level.
+_SORT_BELOW = 1024
 
-    The given ``roots`` come first, skipping any an earlier tree reached;
-    then, when ``roots`` is None or ``cover_all`` is set, the smallest
-    unreached vertex, again and again.  That search keeps a forward-only
-    cursor: every vertex below it is already reached and stays reached, so
-    it scans ``parent`` once in total, in chunks that double while they
-    find nothing, instead of once per tree.
+
+class FirstWriter:
+    """First-writer-wins discovery (CRCW arbitrary) without a sort.
+
+    Each newly discovered vertex takes the *first* arc, in gather order,
+    that proposes it.  Arc positions are scattered in reverse into a slot
+    array, so the earliest proposal is the last write (numpy's
+    last-write-wins scatter, the rule Shiloach–Vishkin's grafts rely on
+    too); the new vertices, ascending, come from a mark-and-scan over a
+    bool array that is cleared again afterwards.  Both arrays belong to
+    one forest and are reused level after level; the claims go into its
+    ``parent``, ``level`` and ``parent_edge`` arrays.
     """
-    pending = iter(roots.tolist()) if roots is not None else iter(())
-    exhaust_rest = roots is None or cover_all
-    n = len(parent)
-    cursor, chunk = 0, 64
 
-    def next_root() -> int | None:
-        nonlocal cursor, chunk
-        for r in pending:
-            if parent[r] < 0:
-                return int(r)
-        while exhaust_rest and cursor < n:
-            hi = min(cursor + chunk, n)
-            hits = np.flatnonzero(np.asarray(parent[cursor:hi]) < 0)
-            if hits.size:
-                cursor += int(hits[0])
-                chunk = 64
-                return cursor
-            cursor, chunk = hi, chunk * 2
-        return None
+    __slots__ = ("parent", "level", "parent_edge", "slot", "seen")
 
-    return next_root
+    def __init__(self, parent, level, parent_edge):
+        self.parent, self.level, self.parent_edge = parent, level, parent_edge
+        self.slot = np.empty(len(level), dtype=np.int64)
+        self.seen = np.zeros(len(level), dtype=bool)
+
+    def discover(self, srcs, dsts, eids, depth: int, machine: Machine) -> np.ndarray:
+        """Claim the fresh targets ``dsts`` at ``depth``; returns them ascending
+        (the next frontier)."""
+        k = dsts.size
+        self.slot[dsts[::-1]] = np.arange(k - 1, -1, -1, dtype=np.int64)
+        if k * _SORT_BELOW < self.seen.size:
+            uniq = np.unique(dsts)
+        else:
+            self.seen[dsts] = True
+            uniq = np.flatnonzero(self.seen)
+            self.seen[uniq] = False
+        first = self.slot[uniq]
+        self.parent[uniq] = srcs[first]
+        self.parent_edge[uniq] = eids[first]
+        self.level[uniq] = depth
+        machine.parallel(k, Ops(random=3, alu=np.log2(max(k, 2))))
+        return uniq
+
+
+def tree_seeds(csr: CSRGraph, parent, roots: np.ndarray | None, cover_all: bool,
+               machine: Machine):
+    """The forest's seed sets, one BFS per yielded ``int64`` array.
+
+    The given ``roots`` come first, one tree each, skipping any an earlier
+    tree reached; with ``roots`` None that is vertex 0.  Then, when
+    ``roots`` is None or ``cover_all`` is set, every component no tree has
+    reached yet is seeded at its minimum vertex, all in one array, so the
+    rest of the graph grows in one multi-source BFS rather than one restart
+    per component.  Those seeds are exactly the roots the restart loop
+    would pick: the smallest unreached vertex, again and again.  Lazy: each
+    set is chosen after the previous trees are grown into ``parent``.
+    """
+    for r in ([0] if roots is None else roots.tolist()):
+        if parent[r] < 0:
+            yield np.array([r], dtype=np.int64)
+    if roots is None or cover_all:
+        seeds = _remainder_roots(csr, parent, machine)
+        if seeds.size:
+            yield seeds
+
+
+def _remainder_roots(csr: CSRGraph, parent, machine: Machine) -> np.ndarray:
+    """Minimum vertex of every component no tree reached, ascending.
+
+    Grown trees are whole components, so the arcs out of the unreached
+    vertices are exactly the edges among them (each once per direction).
+    Shiloach–Vishkin over one direction of each, on the unreached vertices
+    renumbered in order, labels each component by its minimum (grafts only
+    ever lower a label).  Charges nothing when every vertex is reached, so
+    connected graphs cost what one tree costs.
+    """
+    rest = np.flatnonzero(np.asarray(parent) < 0)
+    if rest.size == 0:
+        return rest
+    srcs, dsts, _ = csr.gather_frontier(rest)
+    machine.parallel(srcs.size + rest.size, Ops(random=2, contig=1))
+    one_way = srcs < dsts
+    local = np.empty(csr.n, dtype=np.int64)
+    local[rest] = np.arange(rest.size, dtype=np.int64)
+    machine.parallel(srcs.size + rest.size, Ops(random=1, alu=1))
+    cc = shiloach_vishkin(
+        rest.size, local[srcs[one_way]], local[dsts[one_way]], machine=machine
+    )
+    is_min = cc.labels == np.arange(rest.size)
+    machine.parallel(rest.size, Ops(contig=2, alu=1))
+    return rest[is_min]
 
 
 def bfs_forest(
@@ -121,9 +188,13 @@ def bfs_forest(
     """Level-synchronous BFS from ``roots`` (all components if None).
 
     When ``roots`` is None, or ``cover_all`` is True, the forest covers the
-    whole graph: after the given roots exhaust, the smallest unreached
-    vertex seeds the next tree, and so on (sequential restarts, parallel
-    levels).
+    whole graph: after the given roots' trees (vertex 0's when ``roots`` is
+    None), every component still unreached is rooted at its minimum vertex
+    and all of them grow together in one multi-source BFS
+    (:func:`tree_seeds`).  The result is what restarting at the smallest
+    unreached vertex, tree after tree, would give — the same roots,
+    parents, levels and parent edges — because components share no arc and
+    each keeps its proposals' relative order in every level's gather.
 
     When an execution backend is active (``team`` passed explicitly, or
     published via :func:`repro.runtime.active_team`) and the graph clears
@@ -153,18 +224,14 @@ def bfs_forest(
         machine.parallel(2 * g.m, Ops(contig=2, random=1, alu=np.log2(max(2 * g.m, 2))))
     machine.spawn()
 
-    used_roots: list[int] = []
-    next_root = root_picker(parent, roots, cover_all)
+    used_roots: list[np.ndarray] = []
+    writer = FirstWriter(parent, level, parent_edge)
     max_level = -1
-
-    while True:
-        r = next_root()
-        if r is None:
-            break
-        used_roots.append(r)
-        parent[r] = r
-        level[r] = 0
-        frontier = np.array([r], dtype=np.int64)
+    for seeds in tree_seeds(csr, parent, roots, cover_all, machine):
+        used_roots.append(seeds)
+        parent[seeds] = seeds
+        level[seeds] = 0
+        frontier = seeds
         depth = 0
         while frontier.size:
             srcs, dsts, eids = csr.gather_frontier(frontier)
@@ -174,20 +241,13 @@ def bfs_forest(
             dsts, srcs, eids = dsts[fresh], srcs[fresh], eids[fresh]
             if dsts.size == 0:
                 break
-            # first-writer-wins (CRCW arbitrary): keep the first proposal
-            # for each newly discovered vertex
-            uniq, first = np.unique(dsts, return_index=True)
-            parent[uniq] = srcs[first]
-            parent_edge[uniq] = eids[first]
             depth += 1
-            level[uniq] = depth
-            machine.parallel(dsts.size, Ops(random=3, alu=np.log2(max(dsts.size, 2))))
-            frontier = uniq
+            frontier = writer.discover(srcs, dsts, eids, depth, machine)
         max_level = max(max_level, depth)
     return BFSResult(
         parent,
         level,
         parent_edge,
-        np.asarray(used_roots, dtype=np.int64),
+        np.concatenate(used_roots) if used_roots else np.empty(0, np.int64),
         max_level + 1,
     )

@@ -126,36 +126,40 @@ def shiloach_vishkin(
     machine.spawn()
     if m == 0:
         return ConnectivityResult(D, n, np.empty(0, np.int64), 0)
-    # both arc directions so either endpoint's root can be grafted
-    eid = np.concatenate([np.arange(m, dtype=np.int64)] * 2)
-    t = np.concatenate([u, v])
-    h = np.concatenate([v, u])
+    # one list, both arc directions: each round takes the u->v half's
+    # graft candidates and then the v->u half's, the order a doubled arc
+    # list would give, while gathering and pruning m entries, not 2m
+    eid = np.arange(m, dtype=np.int64)
     schedule = int(np.ceil(np.log2(max(n, 2))))  # the PRAM iteration bound
     rounds = 0
     while True:
         rounds += 1
         # one fused edge sweep: gather both endpoint labels once and derive
         # the graft candidates (and, in engineered mode, the settled edges)
-        Dt = D[t]
-        Dh = D[h]
-        cand = Dh < Dt
-        machine.parallel(t.size, Ops(contig=2, random=2, alu=2))
-        any_cand = bool(cand.any())
+        Du = D[u]
+        Dv = D[v]
+        down = Dv < Du  # u->v arcs: graft D[u] under D[v]
+        up = Du < Dv  # v->u arcs: graft D[v] under D[u]
+        machine.parallel(2 * u.size, Ops(contig=2, random=2, alu=2))
+        any_cand = bool(down.any()) or bool(up.any())
         if any_cand:
-            roots = Dt[cand]
-            newp = Dh[cand]
-            wid = eid[cand]
-            # only actual roots may be grafted: parents strictly decrease,
-            # so the winner edges always join two distinct trees and the
-            # recorded grafts form a spanning forest
-            isroot = D[roots] == roots
-            roots, newp, wid = roots[isroot], newp[isroot], wid[isroot]
-            # CRCW arbitrary write: duplicates resolved by last write; the
-            # same ordering is used for D and winner so the recorded edge
-            # matches the graft that actually happened
-            D[roots] = newp
-            winner[roots] = wid
-            machine.parallel(roots.size, Ops(random=3, alu=1))
+            # a candidate's root is the larger endpoint label.  Only actual
+            # roots may be grafted: parents strictly decrease, so the
+            # winner edges always join two distinct trees and the recorded
+            # grafts form a spanning forest
+            hi = np.maximum(Du, Dv)
+            isroot = D[hi] == hi
+            grafts = 0
+            for arcs in (np.flatnonzero(down & isroot), np.flatnonzero(up & isroot)):
+                # CRCW arbitrary write: duplicates resolved by last write,
+                # the u->v half's scatter first; the same ordering is used
+                # for D and winner so the recorded edge matches the graft
+                # that actually happened
+                roots = hi[arcs]
+                D[roots] = Du[arcs] + Dv[arcs] - roots
+                winner[roots] = eid[arcs]
+                grafts += arcs.size
+            machine.parallel(grafts, Ops(random=3, alu=1))
         if mode == "textbook":
             # a single pointer-jump step over all vertices
             Dn = D[D]
@@ -168,10 +172,10 @@ def shiloach_vishkin(
             _shortcut(D, machine)
             if not any_cand:
                 break
-            live = Dt != Dh  # settled before this round's grafts stays settled
-            t, h, eid = t[live], h[live], eid[live]
-            machine.parallel(int(live.sum()), Ops(contig=3))
-            if t.size == 0:
+            live = down | up  # settled before this round's grafts stays settled
+            u, v, eid = u[live], v[live], eid[live]
+            machine.parallel(2 * u.size, Ops(contig=3))
+            if u.size == 0:
                 break
     labels = D
     reps = labels == np.arange(n)

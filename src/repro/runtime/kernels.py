@@ -17,7 +17,7 @@ shape shared by all three kernels:
    order-independent;
 2. a barrier, then a cheap *combine* on the calling rank that replays the
    exact arbitration rule of the vectorized primitive (numpy's
-   last-write-wins scatter for SV, ``np.unique`` first-win for BFS) over
+   last-write-wins scatter for SV, the first writer for BFS) over
    the gathered candidates in original arc order.
 
 Because contiguous ascending blocks concatenate back into original order,
@@ -39,7 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph import CSRGraph, Graph
-from ..primitives.bfs import BFSResult, root_picker
+from ..primitives.bfs import BFSResult, FirstWriter, tree_seeds
 from ..primitives.connectivity import ConnectivityResult
 from ..smp import Machine, Ops, resolve_machine
 from .team import Team
@@ -373,9 +373,11 @@ def bfs_forest(
 
     Workers expand frontier blocks into rank-compacted fresh-arc runs;
     the calling rank concatenates them (rank order = frontier arc order)
-    and replays the vectorized first-writer-wins discovery
-    (``np.unique`` on targets), so ``parent``/``level``/``parent_edge``
-    are bit-identical to :func:`repro.primitives.bfs_forest`.
+    and runs the primitive's own first-writer discovery
+    (:class:`~repro.primitives.bfs.FirstWriter`) and seed sets
+    (:func:`~repro.primitives.bfs.tree_seeds`), so ``parent``/``level``/
+    ``parent_edge``, the roots and the charges are bit-identical to
+    :func:`repro.primitives.bfs_forest`.
     """
     machine = resolve_machine(machine)
     n = g.n
@@ -401,18 +403,15 @@ def bfs_forest(
     counts = team.zeros(team.p, np.int64)
     offs = team.zeros(team.p, np.int64)
 
-    used_roots: list[int] = []
-    next_root = root_picker(parent, roots, cover_all)
+    used_roots: list[np.ndarray] = []
+    writer = FirstWriter(parent, level, parent_edge)
     max_level = -1
 
-    while True:
-        r = next_root()
-        if r is None:
-            break
-        used_roots.append(r)
-        parent[r] = r
-        level[r] = 0
-        frontier = np.array([r], dtype=np.int64)
+    for seeds in tree_seeds(csr, parent, roots, cover_all, machine):
+        used_roots.append(seeds)
+        parent[seeds] = seeds
+        level[seeds] = 0
+        frontier = seeds
         depth = 0
         while frontier.size:
             fsize = frontier.size
@@ -441,13 +440,8 @@ def bfs_forest(
             dsts = np.concatenate([np.asarray(b_dst[o : o + k]) for o, k in segs])
             srcs = np.concatenate([np.asarray(b_src[o : o + k]) for o, k in segs])
             eids = np.concatenate([np.asarray(b_eid[o : o + k]) for o, k in segs])
-            uniq, first = np.unique(dsts, return_index=True)
-            parent[uniq] = srcs[first]
-            parent_edge[uniq] = eids[first]
             depth += 1
-            level[uniq] = depth
-            machine.parallel(dsts.size, Ops(random=3, alu=np.log2(max(dsts.size, 2))))
-            frontier = uniq
+            frontier = writer.discover(srcs, dsts, eids, depth, machine)
         max_level = max(max_level, depth)
     parent_out[:] = parent
     team.release(
@@ -457,6 +451,6 @@ def bfs_forest(
         parent_out,
         level,
         parent_edge,
-        np.asarray(used_roots, dtype=np.int64),
+        np.concatenate(used_roots) if used_roots else np.empty(0, np.int64),
         max_level + 1,
     )

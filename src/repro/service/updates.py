@@ -226,10 +226,12 @@ def refit_certificate(
     Removed edges outside T ∪ F need no repair.  A removed tree edge
     hands its lower endpoint to another neighbour one level up (T stays
     a BFS tree with the same levels); the forest is then refit as a
-    spanning forest of what remains of G − T.  That works when every
-    removed edge still has its endpoints connected in G − T minus the
-    removals: then some spanning forest of G − T avoids them all, and by
-    the §4 theorem removing them leaves every other edge in its block.
+    spanning forest of what remains of G − T, unless F lost no edge to
+    the removals or to the new tree edges, when F is kept as it is.  That
+    works when every removed edge still has its endpoints connected in
+    G − T minus the removals: then some spanning forest of G − T avoids
+    them all, and by the §4 theorem removing them leaves every other edge
+    in its block.
     """
     keep = np.ones(g.m, dtype=bool)
     keep[removed_ids] = False
@@ -238,6 +240,8 @@ def refit_certificate(
                                  cert.component)
     level = cert.level
     tree = cert.tree.copy()
+    in_forest = cert.mask & ~cert.tree
+    forest_lost = bool(in_forest[removed_ids].any())
     for e in removed_ids[cert.tree[removed_ids]].tolist():
         a, b = int(g.u[e]), int(g.v[e])
         child = a if level[a] > level[b] else b
@@ -248,9 +252,17 @@ def refit_certificate(
             return None
         tree[e] = False
         tree[up[0]] = True
+        forest_lost |= bool(in_forest[up[0]])
+    if not forest_lost:
+        # F lies in G' − T' ⊆ G − T and spans G − T, so it spans G' − T'
+        # too, whose components are G − T's: no forest refit is needed
+        comp = cert.component
+        if (comp[g.u[removed_ids]] != comp[g.v[removed_ids]]).any():
+            return None
+        return FilterCertificate((in_forest | tree)[keep], tree[keep], level, comp)
     # F minus the removals and the new tree edges, then the non-tree
     # edges that join its pieces: a spanning forest of them spans G' − T'
-    forest = np.flatnonzero(cert.mask & ~cert.tree & ~tree & keep)
+    forest = np.flatnonzero(in_forest & ~tree & keep)
     pieces = shiloach_vishkin(g.n, g.u[forest], g.v[forest]).labels
     rest = np.flatnonzero(keep & ~tree & ~cert.mask)
     rest = rest[pieces[g.u[rest]] != pieces[g.v[rest]]]

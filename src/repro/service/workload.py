@@ -98,16 +98,42 @@ _EDGE_SHAPED_BATCH = ("is_bridge_many", "component_of_edge_many", "classify_edge
 def op_item_count(op: dict) -> int:
     """Number of individual query items one op record answers.
 
-    Point queries and updates count 1; batched queries count their
-    ``params`` payload length.  This is the unit amortized per-item
-    latency and throughput are measured in.
+    Point queries and updates count 1; batched queries count the items
+    their kernel answers: ``np.asarray(pairs).size // 2`` pairs, or the
+    size of ``vs`` (so ``pairs=[[]]`` counts 0, not 1).  This is the unit
+    amortized per-item latency and throughput are measured in.
     """
     kind = op["op"]
     if kind in BATCH_OP_NAMES:
         params = op.get("params", {})
-        key = "vs" if kind == "is_articulation_many" else "pairs"
-        return len(params.get(key, ()))
+        if kind == "is_articulation_many":
+            return _kernel_items(params.get("vs", ()), 1)
+        return _kernel_items(params.get("pairs", ()), 2)
     return 1
+
+
+def _kernel_items(items, width: int) -> int:
+    """``np.asarray(items).size // width`` without converting a plain batch.
+
+    A list whose first row is plain (an int for ``vs``, two ints for
+    ``pairs``) has ``len(items)`` rows of that shape, or is ragged and
+    makes the kernel raise.  Anything else is converted to count it.
+    """
+    if isinstance(items, np.ndarray):
+        return items.size // width
+    if len(items) == 0:
+        return 0
+    first = items[0]
+    if width == 1 and type(first) is int:
+        return len(items)
+    if (width == 2 and type(first) in (list, tuple) and len(first) == 2
+            and type(first[0]) is int):
+        return len(items)
+    try:
+        return np.asarray(items).size // width
+    except ValueError:
+        return len(items)
+
 
 #: Default op mix: 90% point queries / 10% batch updates.
 DEFAULT_MIX = {

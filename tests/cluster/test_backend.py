@@ -208,6 +208,28 @@ class TestProcessBackend:
         assert backend.live_segments == 0
         assert backend.workers_joined()
 
+    def test_stats_segment_allocated_once(self):
+        events = EventNames()
+        backend = ProcessBackend(2, telemetry=Telemetry([events]))
+        try:
+            g = gen.random_connected_gnm(30, 60, seed=4)
+            backend.put_graph(shard_of("g0", 2), "g0", g)
+            events.names.clear()
+            first = backend.shard_stats()
+            assert events.names.count("shm.alloc") == 1
+            events.names.clear()
+            frames, total = split_records([{"op": "num_components", "graph": "g0"}], 2)
+            backend.execute(frames, total)
+            events.names.clear()
+            second = backend.shard_stats()
+            assert events.names.count("shm.alloc") == 0
+            # the reused segment reads the counts of the second call
+            assert sum(r["queries"] for r in second) == sum(r["queries"] for r in first) + 1
+        finally:
+            backend.close()
+        assert backend.live_segments == 0
+        assert backend.workers_joined()
+
     def test_reused_segment_decodes_no_stale_rows(self):
         g = gen.random_connected_gnm(20, 40, seed=5)
         edges = g.edges().tolist()[:6]

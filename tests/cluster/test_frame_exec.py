@@ -162,6 +162,20 @@ def _check_bad_frame(backend, graphs, records):
     ] + [{"op": "num_components", "graph": name} for name in graphs])
 
 
+def _empty_row_records(graphs):
+    """Every batched op with payloads whose rows are empty (``[[]]``): the
+    kernels answer 0 items, as for ``[]``; point records around them."""
+    records = []
+    for name in graphs:
+        records.append({"op": "same_bcc", "u": 0, "v": 1, "graph": name})
+        for kind in BATCH_OPS:
+            key = "vs" if kind == "is_articulation_many" else "pairs"
+            for payload in ([[]], [[], []], []):
+                records.append({"op": kind, "params": {key: payload}, "graph": name})
+        records.append({"op": "num_components", "graph": name})
+    return records
+
+
 BAD_KINDS = st.sampled_from(["range-point", "range-batch", "negative", "missing-v"])
 
 
@@ -181,6 +195,11 @@ class TestInProcess:
         where = data.draw(st.integers(0, len(records)))
         with InProcessBackend(SHARDS) as backend:
             _check_bad_frame(backend, graphs, _bad_frame(graphs, records, where, how))
+
+    def test_empty_row_batches_answer_like_apply(self):
+        graphs = {"g0": gen.cycle_graph(5), "g1": gen.complete_graph(4)}
+        with InProcessBackend(SHARDS) as backend:
+            _check_equivalent(backend, graphs, _empty_row_records(graphs))
 
 
 @needs_fork
@@ -206,3 +225,7 @@ class TestProcesses:
         records = data.draw(frames(graphs))
         where = data.draw(st.integers(0, len(records)))
         _check_bad_frame(backend, graphs, _bad_frame(graphs, records, where, how))
+
+    def test_empty_row_batches_answer_like_apply(self, backend):
+        graphs = {"g0": gen.cycle_graph(5), "g1": gen.complete_graph(4)}
+        _check_equivalent(backend, graphs, _empty_row_records(graphs))

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import Graph, generators as gen
-from repro.graph.validate import is_bfs_tree, is_spanning_tree
+from repro.graph.validate import is_bfs_tree, is_connected, is_spanning_tree
 from repro.primitives import bfs, bfs_forest
+from repro.smp import Machine, Ops
+from tests.strategies import corpus_graphs, gnm_graphs
 
 
 def nx_levels(g, root):
@@ -158,3 +162,102 @@ class TestBFSForestRootOrder:
         res = bfs_forest(g, roots=np.array([first]), cover_all=True)
         rest = sorted(min(c) for c in comps if c is not big)
         assert res.roots.tolist() == [first, *rest]
+
+
+def restart_bfs_forest(g, roots=None, machine=None, cover_all=False):
+    """The forest grown one tree per root, restarting at the smallest
+    unreached vertex once the given roots run out, with ``np.unique`` as
+    the first-writer rule: the reference the one-pass forest must equal
+    field for field, and charge for charge whenever no restart is needed."""
+    machine = machine or Machine(p=1)
+    n = g.n
+    parent = np.full(n, -1, dtype=np.int64)
+    level = np.full(n, -1, dtype=np.int64)
+    parent_edge = np.full(n, -1, dtype=np.int64)
+    csr = g.csr()
+    machine.parallel(2 * g.m, Ops(contig=2, random=1, alu=np.log2(max(2 * g.m, 2))))
+    machine.spawn()
+    order = [] if roots is None else [int(r) for r in roots]
+    if roots is None or cover_all:
+        order += list(range(n))
+    used, max_level = [], -1
+    for r in order:
+        if parent[r] >= 0:
+            continue
+        used.append(r)
+        parent[r] = r
+        level[r] = 0
+        frontier = np.array([r], dtype=np.int64)
+        depth = 0
+        while frontier.size:
+            srcs, dsts, eids = csr.gather_frontier(frontier)
+            machine.parallel(srcs.size + frontier.size, Ops(random=2, contig=1))
+            fresh = parent[dsts] < 0
+            machine.parallel(dsts.size, Ops(random=1, alu=1))
+            dsts, srcs, eids = dsts[fresh], srcs[fresh], eids[fresh]
+            if dsts.size == 0:
+                break
+            uniq, first = np.unique(dsts, return_index=True)
+            parent[uniq] = srcs[first]
+            parent_edge[uniq] = eids[first]
+            depth += 1
+            level[uniq] = depth
+            machine.parallel(dsts.size, Ops(random=3, alu=np.log2(max(dsts.size, 2))))
+            frontier = uniq
+        max_level = max(max_level, depth)
+    return parent, level, parent_edge, np.asarray(used, dtype=np.int64), max_level + 1
+
+
+@st.composite
+def scattered_graphs(draw):
+    """Tiny components and isolated vertices under a random vertex order."""
+    pieces = draw(st.lists(gnm_graphs(min_n=1, max_n=8), max_size=5))
+    n = draw(st.integers(0, 30)) + sum(p.n for p in pieces)
+    if n == 0:
+        return Graph(0, [], [])
+    ids = np.asarray(draw(st.permutations(range(n))), dtype=np.int64)
+    us, vs, off = [np.empty(0, np.int64)], [np.empty(0, np.int64)], 0
+    for p in pieces:
+        us.append(ids[off + p.u])
+        vs.append(ids[off + p.v])
+        off += p.n
+    return Graph(n, np.concatenate(us), np.concatenate(vs))
+
+
+class TestOnePassForestEqualsRestarts:
+    @settings(max_examples=150)
+    @given(
+        g=st.one_of(corpus_graphs(), scattered_graphs(), gnm_graphs(max_n=60, max_density=1)),
+        data=st.data(),
+    )
+    def test_every_field_and_connected_charges(self, g, data):
+        roots = None
+        cover_all = data.draw(st.booleans())
+        if g.n and data.draw(st.booleans()):
+            roots = np.asarray(
+                data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=4)),
+                dtype=np.int64,
+            )
+        got_m, want_m = Machine(p=4), Machine(p=4)
+        got = bfs_forest(g, roots=roots, machine=got_m, cover_all=cover_all)
+        want = restart_bfs_forest(g, roots=roots, machine=want_m, cover_all=cover_all)
+        for field, ref in zip(("parent", "level", "parent_edge", "roots"), want):
+            np.testing.assert_array_equal(getattr(got, field), ref, err_msg=field)
+        assert got.roots.dtype == np.int64
+        assert got.num_levels == want[4]
+        if g.n == 0:
+            return
+        # no remainder pass when the given trees reach every vertex it
+        # would cover: then the charges are the restart loop's exactly
+        if is_connected(g) or (roots is not None and not cover_all):
+            assert got_m.report().totals.as_dict() == want_m.report().totals.as_dict()
+
+    def test_isolated_vertices_charge_levels_not_components(self):
+        g = Graph(5000, [], [])
+        machine = Machine(p=4)
+        res = bfs_forest(g, machine=machine)
+        assert res.roots.tolist() == list(range(5000))
+        assert (res.level == 0).all() and res.num_levels == 1
+        # one tree, one remainder pass and one multi-source level, not
+        # one restart per vertex (5,000 barriers)
+        assert machine.report().totals.barriers <= 20

@@ -9,7 +9,8 @@ from repro.graph import Graph, generators as gen
 from repro.graph.validate import is_spanning_tree
 from repro.primitives import connected_components, fastsv, shiloach_vishkin
 from repro.primitives.spanning_tree import root_tree_edges
-from repro.smp import FLAT_UNIT_COSTS, Machine
+from repro.smp import FLAT_UNIT_COSTS, Machine, Ops
+from tests.strategies import any_graphs
 
 
 def nx_component_count(g):
@@ -121,6 +122,77 @@ class TestConnectivity:
             assert res.num_components == nx_component_count(g)
             labels_match_networkx(g, res.labels)
             assert res.forest_edges.size == g.n - res.num_components
+
+
+def doubled_arc_sv(n, u, v, machine, mode):
+    """Shiloach–Vishkin over a doubled arc list (u->v arcs, then v->u):
+    the reference the single-list sweep must equal in labels, forest,
+    rounds and charges."""
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    m = u.size
+    D = np.arange(n, dtype=np.int64)
+    winner = np.full(n, -1, dtype=np.int64)
+    if n == 0:
+        return D, np.empty(0, np.int64), 0
+    machine.spawn()
+    if m == 0:
+        return D, np.empty(0, np.int64), 0
+    eid = np.concatenate([np.arange(m, dtype=np.int64)] * 2)
+    t = np.concatenate([u, v])
+    h = np.concatenate([v, u])
+    schedule = int(np.ceil(np.log2(max(n, 2))))
+    rounds = 0
+    while True:
+        rounds += 1
+        Dt, Dh = D[t], D[h]
+        cand = Dh < Dt
+        machine.parallel(t.size, Ops(contig=2, random=2, alu=2))
+        any_cand = bool(cand.any())
+        if any_cand:
+            roots, newp, wid = Dt[cand], Dh[cand], eid[cand]
+            isroot = D[roots] == roots
+            roots, newp, wid = roots[isroot], newp[isroot], wid[isroot]
+            D[roots] = newp
+            winner[roots] = wid
+            machine.parallel(roots.size, Ops(random=3, alu=1))
+        if mode == "textbook":
+            Dn = D[D]
+            stable = bool((Dn == D).all())
+            D = Dn
+            machine.parallel(n, Ops(random=2, alu=1))
+            if rounds >= schedule and not any_cand and stable:
+                break
+        else:
+            while True:
+                Dn = D[D]
+                machine.parallel(n, Ops(random=2, alu=1))
+                if (Dn == D).all():
+                    break
+                D[:] = Dn
+            if not any_cand:
+                break
+            live = Dt != Dh
+            t, h, eid = t[live], h[live], eid[live]
+            machine.parallel(int(live.sum()), Ops(contig=3))
+            if t.size == 0:
+                break
+    machine.parallel(n, Ops(contig=2))
+    return D, winner[winner >= 0], rounds
+
+
+class TestSingleListSweep:
+    @pytest.mark.parametrize("mode", MODES)
+    @settings(max_examples=60, deadline=None)
+    @given(g=any_graphs(max_n=60))
+    def test_equals_doubled_arc_sweep(self, mode, g):
+        got_m, want_m = Machine(p=4), Machine(p=4)
+        got = shiloach_vishkin(g.n, g.u, g.v, machine=got_m, mode=mode)
+        labels, forest, rounds = doubled_arc_sv(g.n, g.u, g.v, want_m, mode)
+        np.testing.assert_array_equal(got.labels, labels)
+        np.testing.assert_array_equal(got.forest_edges, forest)
+        assert got.rounds == rounds
+        assert got_m.report().totals.as_dict() == want_m.report().totals.as_dict()
 
 
 class TestFastSV:

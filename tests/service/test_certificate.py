@@ -106,6 +106,19 @@ def deep_tree_edge(idx: BCCIndex) -> int:
     return int(np.flatnonzero(deep)[0])
 
 
+def first_other_parent_edge(idx: BCCIndex, e: int) -> int:
+    """The edge that replaces tree edge ``e`` when it is removed: the
+    lowest-id other edge from its child to a vertex one level up (-1 when
+    there is none)."""
+    g, level = idx.graph, idx.certificate.level
+    a, b = int(g.u[e]), int(g.v[e])
+    child = a if level[a] > level[b] else b
+    inc = np.flatnonzero((g.u == child) | (g.v == child))
+    inc = inc[inc != e]
+    up = inc[level[g.u[inc] + g.v[inc] - child] == level[child] - 1]
+    return int(up[0]) if up.size else -1
+
+
 def filtered_edges(idx: BCCIndex) -> np.ndarray:
     return np.flatnonzero(~idx.certificate.mask)
 
@@ -175,6 +188,31 @@ class TestShrinkFiltered:
         assert patched is not None
         assert_same_as_build(patched)
         assert_certificate_valid(patched)
+
+    def test_tree_edge_removal_outside_f_keeps_the_forest(self, monkeypatch):
+        # a tree edge whose child's first other parent edge one level up
+        # lies outside F: F loses no edge, so it is kept without an SV pass
+        import repro.service.updates as updates
+
+        idx = BCCIndex.build(dense_graph())
+        g, cert = idx.graph, idx.certificate
+        forest = cert.mask & ~cert.tree
+        i = next(e for e in np.flatnonzero(cert.tree).tolist()
+                 if (up := first_other_parent_edge(idx, e)) >= 0 and not forest[up])
+        calls = []
+        real = updates.shiloach_vishkin
+        monkeypatch.setattr(updates, "shiloach_vishkin",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        _, patched = patch_removal(idx, [i])
+        monkeypatch.undo()
+        assert calls == []
+        assert patched is not None and patched.source == "shrink"
+        assert_same_as_build(patched)
+        assert_certificate_valid(patched)
+        np.testing.assert_array_equal(patched.certificate.component, cert.component)
+        np.testing.assert_array_equal(
+            patched.certificate.mask & ~patched.certificate.tree, np.delete(forest, i)
+        )
 
     def test_forest_edge_removal_refits_the_forest(self):
         idx = BCCIndex.build(dense_graph())
