@@ -16,22 +16,31 @@ shard workers, behind one protocol (:class:`ShardBackend`):
     ``put_graph`` time, as :mod:`multiprocessing.shared_memory` arrays
     the owning worker wraps zero-copy into its stored
     :class:`~repro.graph.Graph`.  A scatter sends each shard with
-    records only its own frame (op dicts, pickled once) and wakes no
-    other worker; answers come back through one grow-only shared
-    ``int64[cap, 2]`` answer segment via the codec of
-    :mod:`repro.cluster.frames` — the parent routes without pickling a
-    single array, and without a new segment per frame.
+    records only its own frame's steps (int64 item arrays, graph names
+    and a few record dicts, pickled once) and wakes no other worker;
+    answers come back through one grow-only shared ``int64[cap, 2]``
+    answer segment via the codec of :mod:`repro.cluster.frames` —
+    without a new segment per frame.
 
     Graph segments stay alive until :meth:`close` (worker-side indexes
     and pending-delta chains may reference them long after a
     replacement), so a long-lived cluster should recycle graph *names*
     rather than accumulate new ones.
 
-Both backends execute a frame with :func:`_run_frame`: between updates,
-the frame's query records are grouped by (graph, op family) and each
-group is answered by one batched ``engine.query`` whose result is
-scattered into the group's answer rows.  Answers are bit-identical to
-one ``engine.apply`` per record; a shard's ``per_op`` counters list the
+    A worker that dies fails the request that finds it dead with a
+    ``RuntimeError``; the team respawns it, and the backend configures
+    a fresh engine in it before its next request.  The shard's graphs
+    are lost: queries on them raise the engine's ``KeyError`` until
+    they are put again.
+
+The router plans every frame (:func:`repro.cluster.frames.split_records`):
+between barriers the frame's query records are grouped by (graph, op
+family), their items converted to int64 once.  Both backends execute
+the planned steps with :func:`_run_frame` — one batched ``engine.query``
+per group step, its result scattered into the group's answer rows, one
+``engine.apply`` per record step — and decode with
+:func:`_decode_frames`.  Answers are bit-identical to one
+``engine.apply`` per record; a shard's ``per_op`` counters list the
 grouped point records under their ``*_many`` op.
 
 Worker-side engine state lives in the module-global :data:`_W_ENGINES`,
@@ -43,7 +52,6 @@ functions (``ProcessTeam`` pickles them by reference).
 from __future__ import annotations
 
 import time
-from collections import defaultdict
 from dataclasses import fields
 
 import numpy as np
@@ -75,121 +83,50 @@ def _with_hit_rate(row: dict) -> dict:
 
 
 # --------------------------------------------------------------------- #
-# the frame executor shared by both backends
-
-#: point op -> (the batched op that answers it, the record's item keys)
-_POINT_GROUPS = {
-    "same_bcc": ("same_bcc_many", ("u", "v")),
-    "is_bridge": ("is_bridge_many", ("u", "v")),
-    "component_of_edge": ("component_of_edge_many", ("u", "v")),
-    "is_articulation": ("is_articulation_many", ("v",)),
-}
+# the step executor and the decoder shared by both backends
 
 
-def _batch_items(op: dict, kind: str):
-    """A batched record's items as an int64 array, or None if they do not
-    fit the group shape (``(k, 2)`` pairs or ``(k,)`` vertices, with ``k``
-    the record's answer rows)."""
-    params = op.get("params")
-    items_key = BATCH_OPS[kind][0]
-    if type(params) is not dict or len(params) != 1 or items_key not in params:
-        return None
-    try:
-        items = np.asarray(params[items_key], dtype=np.int64)
-        rows = len(params[items_key])
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if items_key == "vs":
-        return items if items.shape == (rows,) else None
-    if items.size == 0 and rows == 0:
-        return items.reshape(0, 2)
-    return items if items.shape == (rows, 2) else None
+def _run_frame(engine: ServiceEngine, steps: list, out: np.ndarray) -> None:
+    """Execute one frame's planned steps, writing its answer rows of ``out``.
 
-
-class _Group:
-    """The queued records of one (graph, batched op) group."""
-
-    __slots__ = ("point_items", "point_rows", "batch_items", "batch_rows")
-
-    def __init__(self):
-        self.point_items: list = []
-        self.point_rows: list = []
-        self.batch_items: list = []
-        self.batch_rows: list = []
-
-    def answer(self, engine: ServiceEngine, graph: str, kind: str, out) -> None:
-        items = self.batch_items
-        rows = [np.arange(offset, offset + len(b))
-                for offset, b in zip(self.batch_rows, items)]
-        if self.point_items:
-            shape = (-1,) if kind == "is_articulation_many" else (-1, 2)
-            items = [np.array(self.point_items, dtype=np.int64).reshape(shape), *items]
-            rows = [np.array(self.point_rows, dtype=np.int64), *rows]
-        rows = np.concatenate(rows)
-        answer = engine.query(graph, kind, **{BATCH_OPS[kind][0]: np.concatenate(items)})
-        if kind == "classify_edges":
-            out[rows, 0] = answer["block"]
-            out[rows, 1] = answer["is_bridge"]
-        else:
-            out[rows, 0] = answer
-
-
-def _run_frame(engine: ServiceEngine, frame, out: np.ndarray) -> None:
-    """Execute one shard frame, writing every record's answer rows of ``out``.
-
-    Between barriers, query records are grouped by (graph, op family) —
-    a point ``same_bcc``/``is_articulation``/``is_bridge``/
-    ``component_of_edge`` record joins the group of its ``*_many`` op —
-    and each group is answered by one batched ``engine.query``.  The
-    groups need not be consecutive: bench-style frames interleave graphs
-    and ops at random.  Updates, ``num_components`` and records whose
-    keys do not fit a group go through ``engine.apply``; updates and
-    misfits are barriers (queued groups are answered first), so record
-    order holds and a bad record raises what ``engine.apply`` raises.
+    A group step ``(graph, batched op, items, rows)`` is one
+    ``engine.query`` whose answer is scattered into ``rows``; a record
+    step ``(graph, record, offset)`` is one ``engine.apply`` whose answer
+    is encoded at ``offset``.  The planner
+    (:func:`repro.cluster.frames.split_records`) chose the order, so a bad
+    record raises what ``engine.apply`` raises, after the steps before it.
     """
-    groups: defaultdict = defaultdict(_Group)  # (graph, batched op) -> group
-
-    def flush():
-        for (graph, kind), group in groups.items():
-            group.answer(engine, graph, kind, out)
-        groups.clear()
-
-    for graph, op, offset in zip(frame.graphs, frame.ops, frame.offsets):
-        kind = op["op"]
-        point = _POINT_GROUPS.get(kind)
-        if point is not None:
-            kind, keys = point
-            if len(op) == len(keys) + 1 and all(type(op.get(k)) is int for k in keys):
-                group = groups[graph, kind]
-                group.point_items.append(op[keys[0]] if len(keys) == 1
-                                         else (op[keys[0]], op[keys[1]]))
-                group.point_rows.append(offset)
-                continue
-        elif kind in BATCH_OPS:
-            items = _batch_items(op, kind)
-            if items is not None:
-                group = groups[graph, kind]
-                group.batch_items.append(items)
-                group.batch_rows.append(offset)
-                continue
-        elif kind == "num_components":
-            out[offset, 0] = engine.apply(graph, op)
-            continue
-        # an update or a misfit record: a barrier
-        flush()
-        encode_answer(op["op"], engine.apply(graph, op),
-                      out[offset : offset + answer_slots(op)])
-    flush()
+    for step in steps:
+        if len(step) == 4:
+            graph, kind, items, rows = step
+            answer = engine.query(graph, kind, **{BATCH_OPS[kind][0]: items})
+            if kind == "classify_edges":
+                out[rows, 0] = answer["block"]
+                out[rows, 1] = answer["is_bridge"]
+            else:
+                out[rows, 0] = answer
+        else:
+            graph, record, offset = step
+            encode_answer(record["op"], engine.apply(graph, record),
+                          out[offset : offset + answer_slots(record)])
 
 
 def _decode_frames(frames: dict, out: np.ndarray) -> dict:
-    """``{seq: answer}`` for every record of ``frames``, read from ``out``."""
+    """``{seq: answer}`` for every record of ``frames``, read from ``out``.
+
+    A group's point records are decoded with one gather; every other
+    record by its slice, as :func:`~repro.cluster.frames.decode_answer`.
+    """
     answers: dict[int, object] = {}
     for frame in frames.values():
-        for seq, op, offset in zip(frame.seqs, frame.ops, frame.offsets):
-            answers[seq] = decode_answer(
-                op["op"], out[offset : offset + answer_slots(op)]
-            )
+        for kind, seqs, rows in frame.points:
+            column = out[rows, 0]
+            if kind == "component_of_edge":
+                answers.update(zip(seqs, [None if c < 0 else c for c in column.tolist()]))
+            else:
+                answers.update(zip(seqs, (column != 0).tolist()))
+        for seq, kind, offset, slots in frame.slices:
+            answers[seq] = decode_answer(kind, out[offset : offset + slots])
     return answers
 
 
@@ -266,7 +203,7 @@ class InProcessBackend(ShardBackend):
         out = np.empty((total_slots, 2), dtype=np.int64)
         for shard in sorted(frames):
             t0 = time.perf_counter_ns()
-            _run_frame(self.engines[shard], frames[shard], out)
+            _run_frame(self.engines[shard], frames[shard].steps, out)
             if self.telemetry is not None:
                 # same per-shard track shape as the forked backend's
                 # worker spans, so --trace output reads identically
@@ -324,8 +261,8 @@ def _w_remove_graph(rank, lo, hi, name):
     _W_ENGINES[rank].store.remove(name)
 
 
-def _w_execute(rank, lo, hi, frame, out):
-    _run_frame(_W_ENGINES[rank], frame, out)
+def _w_execute(rank, lo, hi, steps, out):
+    _run_frame(_W_ENGINES[rank], steps, out)
 
 
 def _w_stats(rank, lo, hi, out):
@@ -378,21 +315,37 @@ class ProcessBackend(ShardBackend):
         self._graph_arrays: list = []  # keep shm-backed graph arrays alive
         self._answers = None  # the grow-only answer segment (_answer_rows)
         self._stats = None  # the stats segment (shard_stats)
-        self.team.parallel_for(
-            num_shards, _w_configure, algorithm, cache_size, rebuild_mode,
-            coalesce_ms, staleness_budget_ms, maintenance,
-        )
+        self._config = (algorithm, cache_size, rebuild_mode, coalesce_ms,
+                        staleness_budget_ms, maintenance)
+        self.team.parallel_for(num_shards, _w_configure, *self._config)
+        # pid each rank's engine was configured in (see _dispatch)
+        self._configured = [proc.pid for proc in self.team._procs]
+
+    def _dispatch(self, body, rank_args: dict) -> None:
+        """``team.dispatch`` to the shards' ranks, after configuring an
+        engine in every worker the team respawned since the last call.
+
+        A respawned worker starts with no engine; configured again it
+        holds no graphs, so a query on a lost graph raises the engine's
+        ``KeyError`` naming it until the graph is put again.
+        """
+        fresh = {rank: self._config
+                 for rank, proc in enumerate(self.team._procs)
+                 if proc.pid != self._configured[rank]}
+        if fresh:
+            self.team.dispatch(self.num_shards, _w_configure, fresh)
+            for rank in fresh:
+                self._configured[rank] = self.team._procs[rank].pid
+        self.team.dispatch(self.num_shards, body, rank_args)
 
     def put_graph(self, shard: int, name: str, graph: Graph) -> None:
         u = self.team.share(graph.u)
         v = self.team.share(graph.v)
         self._graph_arrays.append((u, v))
-        self.team.dispatch(
-            self.num_shards, _w_put_graph, {shard: (name, graph.n, u, v)}
-        )
+        self._dispatch(_w_put_graph, {shard: (name, graph.n, u, v)})
 
     def remove_graph(self, shard: int, name: str) -> None:
-        self.team.dispatch(self.num_shards, _w_remove_graph, {shard: (name,)})
+        self._dispatch(_w_remove_graph, {shard: (name,)})
 
     def _answer_rows(self, rows: int) -> np.ndarray:
         """The shared answer segment, doubled until it holds ``rows`` rows.
@@ -414,11 +367,9 @@ class ProcessBackend(ShardBackend):
 
     def execute(self, frames: dict, total_slots: int) -> dict:
         out = self._answer_rows(total_slots)
-        # each shard with records gets its own frame; other workers sleep
-        self.team.dispatch(
-            self.num_shards, _w_execute,
-            {shard: (frame, out) for shard, frame in frames.items()},
-        )
+        # each shard with records gets its own frame's steps; other workers sleep
+        self._dispatch(_w_execute, {shard: (frame.steps, out)
+                                    for shard, frame in frames.items()})
         return _decode_frames(frames, out)
 
     def shard_stats(self) -> list:
@@ -427,7 +378,7 @@ class ProcessBackend(ShardBackend):
             self._stats = self.team.empty((self.num_shards, len(_ROW_FIELDS)), np.int64)
         out = self._stats
         out[:] = 0
-        self.team.parallel_for(self.num_shards, _w_stats, out)
+        self._dispatch(_w_stats, dict.fromkeys(range(self.num_shards), (out,)))
         return [
             _with_hit_rate(dict(zip(_ROW_FIELDS, map(int, out[shard]))))
             for shard in range(self.num_shards)

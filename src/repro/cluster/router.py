@@ -5,9 +5,10 @@ A :class:`ShardRouter` owns N shard engines (hosted by a
 chosen by :func:`repro.cluster.partition.shard_of`, and answers batches
 of workload records by scatter/gather:
 
-1. ``Cluster-route`` — split the batch into per-shard frames (stable
-   sequence numbers; see :mod:`repro.cluster.frames`) and apply tenant
-   admission,
+1. ``Cluster-route`` — apply tenant admission to the whole batch, then
+   split it into planned per-shard frames (stable sequence numbers,
+   query items grouped and converted to int64; see
+   :mod:`repro.cluster.frames`),
 2. ``Cluster-scatter`` — dispatch every frame to its shard (concurrently
    on the process backend) and decode its answers,
 3. ``Cluster-gather`` — reassemble answers into the original record
@@ -28,13 +29,15 @@ Multi-tenancy is enforced at this layer, not in the engines:
 * **Per-tenant admission** (``tenant_batch_quota``): at most that many
   query/update *items* per tenant per ``apply_batch`` call; overflow
   records are not executed and answer with a :class:`Rejected` marker.
-* **Admission counters**: every routed record emits a ``tenant.admit``
-  (or ``tenant.reject``) event with the tenant as the ``op`` attribute,
-  so the router's :class:`~repro.obs.CounterSink` accumulates
-  ``tenant.admit.<tenant>`` breakdowns exactly like the engine's
-  ``per_op`` stats.  Like an engine, the router counts on a private
-  telemetry that forwards every event to the one it was given, so
-  routers sharing a telemetry never count each other's tenants.
+* **Admission counters**: each batch emits one ``tenant.admit`` and one
+  ``tenant.items`` event per tenant with admitted records (``count=``
+  records and items), and one ``tenant.reject`` per rejected record,
+  with the tenant as the ``op`` attribute, so the router's
+  :class:`~repro.obs.CounterSink` accumulates ``tenant.admit.<tenant>``
+  breakdowns exactly like the engine's ``per_op`` stats.  Like an
+  engine, the router counts on a private telemetry that forwards every
+  event to the one it was given, so routers sharing a telemetry never
+  count each other's tenants.
 
 The router is thread-safe: one lock serializes routing (the process
 backend's pipes are single-consumer), which models a single front-end
@@ -216,12 +219,10 @@ class ShardRouter:
     # request path
     # ------------------------------------------------------------------ #
 
-    def _tenant_of(self, record: dict) -> str:
+    def _tenant_of(self, record: dict, graph: str) -> str:
         tenant = record.get("tenant")
         if tenant is None:
-            tenant = self._tenant_of_graph.get(
-                record.get("graph", self.default_graph)
-            )
+            tenant = self._tenant_of_graph.get(graph)
         return tenant or DEFAULT_TENANT
 
     def apply_batch(self, records) -> list:
@@ -239,17 +240,14 @@ class ShardRouter:
         with self._lock:
             self._ensure_open()
             with self.telemetry.span("Cluster-route", records=len(records)):
-                admitted, rejected = self._admit(records)
+                admitted, rejected, used = self._admit(records)
                 frames, total_slots = split_records(
                     admitted, self.num_shards, default_graph=self.default_graph
                 )
-                for record in admitted:
-                    tenant = self._tenant_of(record)
+                for tenant, graph in used:
                     lru = self._tenant_lru.get(tenant)
-                    if lru is not None:
-                        name = record.get("graph", self.default_graph)
-                        if name in lru:
-                            lru.move_to_end(name)
+                    if lru is not None and graph in lru:
+                        lru.move_to_end(graph)
             with self.telemetry.span("Cluster-scatter", shards=len(frames)):
                 answers_by_seq = self.backend.execute(frames, total_slots)
             with self.telemetry.span("Cluster-gather"):
@@ -263,24 +261,39 @@ class ShardRouter:
         return out
 
     def _admit(self, records) -> tuple:
-        """Split a batch into admitted records and ``{index: Rejected}``."""
+        """Split a batch into admitted records, ``{index: Rejected}`` and
+        the admitted (tenant, graph) pairs in the order of their last use.
+
+        One pass: each record spends its tenant's quota in order (a
+        rejected record emits its own ``tenant.reject``); then each tenant
+        with admitted records gets one ``tenant.admit`` and one
+        ``tenant.items`` event with ``count=``.  The caller touches each
+        pair once in its tenant's LRU, in the returned order — the order,
+        and so the eviction victim, that touching per record gives.
+        """
+        quota = self.tenant_batch_quota
         admitted, rejected = [], {}
-        spent: dict[str, int] = {}
+        spent: dict[str, int] = {}  # tenant -> items admitted
+        counts: dict[str, int] = {}  # tenant -> records admitted
+        used: dict[tuple, None] = {}  # (tenant, graph), by last use
         for i, record in enumerate(records):
-            tenant = self._tenant_of(record)
+            graph = record.get("graph", self.default_graph)
+            tenant = self._tenant_of(record, graph)
             items = max(1, op_item_count(record))
-            if (
-                self.tenant_batch_quota is not None
-                and spent.get(tenant, 0) + items > self.tenant_batch_quota
-            ):
+            total = spent.get(tenant, 0) + items
+            if quota is not None and total > quota:
                 rejected[i] = Rejected(tenant, "batch quota exceeded")
                 self._events.event("tenant.reject", op=tenant)
                 continue
-            spent[tenant] = spent.get(tenant, 0) + items
+            spent[tenant] = total
+            counts[tenant] = counts.get(tenant, 0) + 1
             admitted.append(record)
-            self._events.event("tenant.admit", op=tenant)
-            self._events.event("tenant.items", op=tenant, count=items)
-        return admitted, rejected
+            used.pop((tenant, graph), None)
+            used[tenant, graph] = None
+        for tenant, count in counts.items():
+            self._events.event("tenant.admit", op=tenant, count=count)
+            self._events.event("tenant.items", op=tenant, count=spent[tenant])
+        return admitted, rejected, used
 
     def apply(self, record: dict):
         """Answer one record (a size-1 :meth:`apply_batch`)."""

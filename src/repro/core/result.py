@@ -82,7 +82,8 @@ class BCCResult:
     """
 
     __slots__ = (
-        "graph", "edge_labels", "algorithm", "report", "backend", "certificate", "_cut_cache"
+        "graph", "edge_labels", "algorithm", "report", "backend", "certificate", "_cut_cache",
+        "_num_components",
     )
 
     def __init__(
@@ -103,13 +104,15 @@ class BCCResult:
         self.backend = backend
         self.certificate = certificate
         self._cut_cache = None
+        self._num_components = None
 
     @property
     def num_components(self) -> int:
-        """Number of biconnected components (blocks)."""
-        if self.graph.m == 0:
-            return 0
-        return int(self.edge_labels.max()) + 1
+        """Number of biconnected components (blocks), counted on first use."""
+        if self._num_components is None:
+            m = self.graph.m
+            self._num_components = int(self.edge_labels.max()) + 1 if m else 0
+        return self._num_components
 
     def components(self) -> list[np.ndarray]:
         """Edge-index arrays, one per component, ordered by component id."""

@@ -278,3 +278,63 @@ class TestProcessBackend:
     def test_backend_protocol_classes(self):
         assert InProcessBackend.name == "serial"
         assert ProcessBackend.name == "processes"
+
+
+@needs_fork
+def test_killed_workers_come_back_configured():
+    """A SIGKILLed shard worker fails the request that finds it dead, then
+    serves again: its lost graphs raise the engine's ``KeyError`` until
+    they are put again, and are answered exactly after that."""
+    import os
+    import signal
+
+    names = [next(f"g{i}" for i in range(100) if shard_of(f"g{i}", 2) == shard)
+             for shard in (0, 1)]
+    graphs = {name: gen.random_connected_gnm(20, 40, seed=i)
+              for i, name in enumerate(names)}
+    reference = ServiceEngine()
+    for name, g in graphs.items():
+        reference.put_graph(name, g)
+    records = [
+        record
+        for name in names
+        for record in (
+            {"op": "num_components", "graph": name},
+            {"op": "same_bcc", "u": 0, "v": 7, "graph": name},
+            {"op": "classify_edges", "params": {"pairs": [[0, 1], [2, 3]]}, "graph": name},
+        )
+    ]
+
+    def check(router):
+        for got, record in zip(router.apply_batch(records), records):
+            want = reference.apply(record["graph"], strip_routing(record))
+            if isinstance(want, dict):
+                for key in want:
+                    assert got[key].dtype == want[key].dtype
+                    np.testing.assert_array_equal(got[key], want[key])
+            else:
+                assert type(got) is type(want) and got == want
+
+    router = ShardRouter(num_shards=2, backend="processes")
+    try:
+        for name, g in graphs.items():
+            router.put_graph(name, g)
+        check(router)
+        for proc in router.backend.team._procs:
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.join(timeout=5)
+        for name in names:
+            with pytest.raises(RuntimeError, match="died unexpectedly"):
+                router.apply({"op": "num_components", "graph": name})
+        for name in names:
+            with pytest.raises(KeyError, match=f"no graph named '{name}'"):
+                router.apply({"op": "num_components", "graph": name})
+        for name, g in graphs.items():
+            router.put_graph(name, g)
+        check(router)
+        rows = router.stats().per_shard
+        assert len(rows) == 2 and all(row["queries"] > 0 for row in rows)
+    finally:
+        router.close()
+    assert router.backend.live_segments == 0
+    assert router.backend.workers_joined()

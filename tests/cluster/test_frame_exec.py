@@ -9,6 +9,7 @@ backend keeps answering correctly afterwards.
 """
 
 import multiprocessing as mp
+import os
 
 import numpy as np
 import pytest
@@ -229,3 +230,154 @@ class TestProcesses:
     def test_empty_row_batches_answer_like_apply(self, backend):
         graphs = {"g0": gen.cycle_graph(5), "g1": gen.complete_graph(4)}
         _check_equivalent(backend, graphs, _empty_row_records(graphs))
+
+
+# --------------------------------------------------------------------- #
+# batched items in every shape a record may carry them
+
+ITEM_FORMS = ("list", "int64", "int32", "tuples", "bool", "float", "ragged",
+              "empty", "empty-row")
+
+
+def _reshape_items(items, key, form):
+    """``items`` (a list of ints or of [u, v] lists) in another form; the
+    ragged form and an empty row make the kernels raise or answer 0 items."""
+    if form == "int64":
+        return np.asarray(items, dtype=np.int64)
+    if form == "int32":
+        return np.asarray(items, dtype=np.int32)
+    if form == "tuples":
+        return tuple(x if key == "vs" else tuple(x) for x in items)
+    if form == "bool":
+        return [x % 2 == 1 if key == "vs" else [a % 2 == 1 for a in x] for x in items]
+    if form == "float":
+        return [x + 0.75 if key == "vs" else [a + 0.75 for a in x] for x in items]
+    if form == "ragged":
+        return [*items, [0, 1]] if key == "vs" else [*items, [0, 1, 1]]
+    if form == "empty":
+        return []
+    if form == "empty-row":
+        return [[]]
+    return items
+
+
+@st.composite
+def varied_frames(draw, graphs):
+    """``frames(graphs)`` with each batched record's items redrawn in one
+    of :data:`ITEM_FORMS`, ragged ones rare."""
+    records = draw(frames(graphs))
+    for record in records:
+        params = record.get("params")
+        if params is None:
+            continue
+        (key, items), = params.items()
+        form = draw(st.sampled_from(ITEM_FORMS[:-3] * 3 + ITEM_FORMS[-3:]))
+        params[key] = _reshape_items(items, key, form)
+    return records
+
+
+def _check_varied(backend, graphs, records):
+    """Answers, types and dtypes as the replay; or the exception types the
+    replay raised, per failing shard (an ``ExceptionGroup`` of them, or a
+    ``__context__`` chain before Python 3.11, when the processes backend
+    fails on both)."""
+    _, failed, _ = _replay(graphs, records)
+    if not failed:
+        _check_equivalent(backend, graphs, records)
+        return
+    _put(backend, graphs)
+    frames_, total = split_records(records, SHARDS)
+    with pytest.raises(Exception) as info:
+        backend.execute(frames_, total)
+    expected = [failed[shard] for shard in sorted(failed)]
+    if isinstance(backend, InProcessBackend):
+        expected = expected[:1]  # shards run in order; the first failure stops it
+    raised = getattr(info.value, "exceptions", None)
+    if raised is None:  # one failure, or two chained (Python 3.10)
+        raised = [info.value.__context__, info.value][2 - len(expected):]
+    assert [type(e) for e in raised] == [type(e) for e in expected]
+
+
+class TestInProcessVariedItems:
+    @settings(max_examples=80)
+    @given(data=st.data())
+    def test_matches_per_record_replay(self, data):
+        graphs = data.draw(cluster_graphs())
+        with InProcessBackend(SHARDS) as backend:
+            _check_varied(backend, graphs, data.draw(varied_frames(graphs)))
+
+
+@needs_fork
+class TestProcessesVariedItems:
+    @pytest.fixture(scope="class")
+    def backend(self):
+        backend = ProcessBackend(SHARDS)
+        yield backend
+        backend.close()
+        assert backend.live_segments == 0
+        assert backend.workers_joined()
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_matches_per_record_replay(self, backend, data):
+        graphs = data.draw(cluster_graphs())
+        _check_varied(backend, graphs, data.draw(varied_frames(graphs)))
+
+
+def test_planned_items_are_int64_arrays():
+    """Every group step carries its items and rows as int64 arrays, and
+    no record of a fitting batch travels as a record step."""
+    records = [
+        {"op": "same_bcc", "u": 0, "v": 1, "graph": "g0"},
+        {"op": "classify_edges", "params": {"pairs": [[0, 1], [1, 2]]}, "graph": "g0"},
+        {"op": "is_articulation_many", "params": {"vs": (1, 2, 3)}, "graph": "g0"},
+        {"op": "same_bcc_many", "params": {"pairs": np.array([[0, 2]], dtype=np.int32)},
+         "graph": "g0"},
+        {"op": "num_components", "graph": "g0"},
+    ]
+    (frame,) = split_records(records, 1)[0].values()
+    groups = [step for step in frame.steps if len(step) == 4]
+    assert [kind for _, kind, _, _ in groups] == [
+        "same_bcc_many", "classify_edges", "is_articulation_many"]
+    for _, kind, items, rows in groups:
+        assert type(items) is np.ndarray and items.dtype == np.int64
+        assert items.ndim == (1 if kind == "is_articulation_many" else 2)
+        assert type(rows) is np.ndarray and rows.dtype == np.int64
+        assert rows.shape == items.shape[:1]
+    (record_step,) = [step for step in frame.steps if len(step) == 3]
+    assert record_step[1]["op"] == "num_components"
+
+
+@needs_fork
+def test_batched_items_reach_the_worker_as_one_int64_array(tmp_path, monkeypatch):
+    """What a worker receives over the pipe is the planned steps: each
+    batched record's items inside one int64 array, no Python item list.
+    The spy is installed before the fork, so the workers run it."""
+    import repro.cluster.backend as backend_module
+
+    log = tmp_path / "steps.txt"
+    run_frame = backend_module._run_frame
+
+    def spy(engine, steps, out):
+        with open(log, "a") as fh:
+            for step in steps:
+                if len(step) == 4:
+                    _, kind, items, _ = step
+                    fh.write(f"{os.getpid()} {kind} {type(items).__name__} {items.dtype}\n")
+                else:
+                    fh.write(f"{os.getpid()} {step[1]['op']} record -\n")
+        return run_frame(engine, steps, out)
+
+    monkeypatch.setattr(backend_module, "_run_frame", spy)
+    graphs = {"g0": gen.cycle_graph(6), "g1": gen.complete_graph(6)}
+    records = [{"op": "classify_edges", "params": {"pairs": [[0, 1], [2, 3], [4, 5]]},
+                "graph": name} for name in graphs]
+    records += [{"op": "is_articulation_many", "params": {"vs": [0, 1]}, "graph": name}
+                for name in graphs]
+    with ProcessBackend(SHARDS) as backend:
+        _check_equivalent(backend, graphs, records)
+    assert backend.live_segments == 0
+    lines = [line.split() for line in log.read_text().splitlines()]
+    workers = [line for line in lines if int(line[0]) != os.getpid()]
+    assert sorted(op for _, op, _, _ in workers) == sorted(r["op"] for r in records)
+    assert all(kind == "ndarray" and dtype == "int64" for _, _, kind, dtype in workers)

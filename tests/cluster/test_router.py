@@ -16,6 +16,7 @@ from repro.cluster import Rejected, ShardRouter
 from repro.cluster.frames import strip_routing
 from repro.graph import generators as gen
 from repro.service.engine import ServiceEngine
+from repro.service.workload import op_item_count
 
 N = 16  # per-graph vertex count: small keeps rebuilds cheap under hypothesis
 
@@ -275,3 +276,131 @@ class TestLifecycle:
             assert a.stats().tenants["acme"]["admitted"] == 1
         # every router event still reaches the shared telemetry
         assert seen["tenant.admit.acme"] == 1 and seen["cluster.put.acme"] == 1
+
+
+class PerRecordTenancy:
+    """Reference model of admission and the tenant LRUs, one record at a
+    time: the quota spent in record order, one admit/items/reject count
+    per record, and an LRU touch per admitted record."""
+
+    def __init__(self, quota, budget):
+        self.quota, self.budget = quota, budget
+        self.owner, self.lru, self.evictions = {}, {}, {}
+        self.counts = {}
+
+    def put(self, name, tenant):
+        is_new = name not in self.owner
+        self.owner[name] = tenant
+        lru = self.lru.setdefault(tenant, [])
+        if name in lru:
+            lru.remove(name)
+        lru.append(name)
+        if is_new and len(lru) > self.budget:
+            victim = lru.pop(0)
+            del self.owner[victim]
+            self.evictions[tenant] = self.evictions.get(tenant, 0) + 1
+
+    def admit(self, batch):
+        spent, verdicts = {}, []
+        for rec in batch:
+            tenant = rec.get("tenant") or self.owner[rec["graph"]]
+            items = max(1, op_item_count(rec))
+            row = self.counts.setdefault(tenant, {"admitted": 0, "rejected": 0, "items": 0})
+            if spent.get(tenant, 0) + items > self.quota:
+                row["rejected"] += 1
+                verdicts.append(False)
+                continue
+            spent[tenant] = spent.get(tenant, 0) + items
+            row["admitted"] += 1
+            row["items"] += items
+            verdicts.append(True)
+            lru = self.lru.get(tenant, [])
+            if rec["graph"] in lru:
+                lru.remove(rec["graph"])
+                lru.append(rec["graph"])
+        return verdicts
+
+    def tenants(self):
+        return {
+            tenant: {**self.counts.get(tenant, {"admitted": 0, "rejected": 0, "items": 0}),
+                     "graphs": len(self.lru.get(tenant, ())),
+                     "evictions": self.evictions.get(tenant, 0)}
+            for tenant in sorted(set(self.lru) | {
+                t for t, row in self.counts.items() if row["admitted"]})
+        }
+
+
+TENANTS = ("t0", "t1", "t2")
+OWNED = {f"{t}-g{j}": t for t in TENANTS for j in range(3)}
+
+
+@st.composite
+def tenant_records(draw):
+    graph = draw(st.sampled_from(sorted(OWNED)))
+    kind = draw(st.sampled_from(["same_bcc", "num_components", "same_bcc_many",
+                                 "is_articulation_many"]))
+    rec = {"op": kind, "graph": graph}
+    if kind == "same_bcc":
+        rec["u"], rec["v"] = draw(vertex), draw(vertex)
+    elif kind == "same_bcc_many":
+        rec["params"] = {"pairs": draw(st.lists(pair, max_size=4))}
+    elif kind == "is_articulation_many":
+        rec["params"] = {"vs": draw(st.lists(vertex, max_size=4))}
+    if draw(st.integers(0, 5)) == 0:  # a tenant other than the owner
+        rec["tenant"] = draw(st.sampled_from(TENANTS))
+    return rec
+
+
+class TestPerBatchAdmission:
+    """Admission counted per batch equals admission counted per record."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(quota=st.integers(2, 8),
+           batches=st.lists(st.lists(tenant_records(), min_size=1, max_size=16),
+                            min_size=1, max_size=3))
+    def test_matches_per_record_model(self, quota, batches):
+        g = gen.random_connected_gnm(N, 30, seed=0)
+        model = PerRecordTenancy(quota, budget=3)
+        with ShardRouter(num_shards=2, backend="serial", tenant_batch_quota=quota,
+                         tenant_graph_budget=3) as router:
+            for name, tenant in OWNED.items():
+                router.put_graph(name, g, tenant=tenant)
+                model.put(name, tenant)
+            for batch in batches:
+                out = router.apply_batch(batch)
+                assert [not isinstance(a, Rejected) for a in out] == model.admit(batch)
+            assert router.stats().tenants == model.tenants()
+            # one more graph per tenant evicts the model's victim
+            for tenant in TENANTS:
+                router.put_graph(f"{tenant}-new", g, tenant=tenant)
+                model.put(f"{tenant}-new", tenant)
+            assert router.graphs().keys() == model.owner.keys()
+            assert router.stats().tenants == model.tenants()
+
+    def test_one_admit_event_per_tenant_per_batch(self):
+        from repro.obs import CounterSink, Sink, Telemetry
+
+        class Names(Sink):
+            def on_event(self, name, path, t_ns, attrs):
+                events.append(name)
+
+        telemetry = Telemetry()
+        seen = telemetry.add_sink(CounterSink())
+        events = []
+        telemetry.add_sink(Names())
+        g = gen.random_connected_gnm(N, 30, seed=0)
+        with ShardRouter(num_shards=2, backend="serial", telemetry=telemetry,
+                         tenant_batch_quota=5) as router:
+            router.put_graph("a", g, tenant="ta")
+            router.put_graph("b", g, tenant="tb")
+            events.clear()
+            batch = ([{"op": "num_components", "graph": "a"}] * 7
+                     + [{"op": "same_bcc_many", "graph": "b",
+                         "params": {"pairs": [[0, 1]] * 3}}] * 2)
+            out = router.apply_batch(batch)
+            assert sum(isinstance(a, Rejected) for a in out) == 3
+        assert events.count("tenant.admit") == 2
+        assert events.count("tenant.items") == 2
+        assert events.count("tenant.reject") == 3
+        assert seen["tenant.admit.ta"] == 5 and seen["tenant.items.ta"] == 5
+        assert seen["tenant.admit.tb"] == 1 and seen["tenant.items.tb"] == 3

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import ALGORITHMS
 from repro.core.blockcut import BlockCutTree
 from repro.core.tarjan import tarjan_bcc
 from repro.graph import Graph, generators as gen
 from repro.service.driver import oracle_answer
+from repro.service import index as index_module
 from repro.service.index import BCCIndex
 from tests.conftest import nx_articulation_points, nx_bridges
 from tests.strategies import graph_corpus
@@ -109,3 +111,95 @@ def test_source_and_repr():
     idx = BCCIndex.build(gen.cycle_graph(5))
     assert idx.source == "build"
     assert "blocks=1" in repr(idx)
+
+
+class TestSortedProbes:
+    """Batches of ``_SORTED_PROBES`` probes or more are searched in sorted
+    order; every kernel answer is bit-identical to an unsorted search."""
+
+    CUT = index_module._SORTED_PROBES
+    SIZES = (0, 1, CUT - 1, CUT, CUT + 1, 3 * CUT)
+
+    @settings(max_examples=30, deadline=None)
+    @given(keys=st.lists(st.integers(-50, 5000), max_size=400),
+           size=st.sampled_from(SIZES), seed=st.integers(0, 2**32 - 1))
+    def test_search_equals_searchsorted(self, keys, size, seed):
+        keys = np.sort(np.asarray(keys, dtype=np.int64))
+        rng = np.random.default_rng(seed)
+        probes = rng.integers(-100, 5100, size=size)
+        if keys.size and size:  # hits, duplicates of them, and misses
+            probes[: size // 2] = keys[rng.integers(0, keys.size, size // 2)]
+        got = index_module._search(keys, probes)
+        want = np.searchsorted(keys, probes)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 120), density=st.integers(1, 4), size=st.sampled_from(SIZES),
+           edge_share=st.floats(0, 1), duplicates=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_kernels_equal_unsorted_search(self, n, density, size, edge_share,
+                                           duplicates, seed):
+        g = gen.random_gnm(n, min(n * (n - 1) // 2, density * n), seed=seed)
+        idx = BCCIndex.build(g)
+        rng = np.random.default_rng(seed)
+        pairs = rng.integers(0, n, size=(size, 2))
+        real = np.flatnonzero(rng.random(size) < edge_share)
+        if g.m and real.size:  # real edges, in either orientation
+            ids = rng.integers(0, g.m, real.size)
+            flip = rng.random(real.size) < 0.5
+            pairs[real, 0] = np.where(flip, g.v[ids], g.u[ids])
+            pairs[real, 1] = np.where(flip, g.u[ids], g.v[ids])
+        if duplicates and size:
+            pairs[size // 2 :] = pairs[: size - size // 2]
+        kernels = ("edge_id_many", "same_bcc_many", "is_bridge_many",
+                   "component_of_edge_many", "classify_edges")
+        got = {name: getattr(idx, name)(pairs) for name in kernels}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(index_module, "_SORTED_PROBES", 2**62)
+            want = {name: getattr(idx, name)(pairs) for name in kernels}
+        for name in kernels:
+            got_parts = got[name] if isinstance(got[name], dict) else {"": got[name]}
+            want_parts = want[name] if isinstance(want[name], dict) else {"": want[name]}
+            for key in want_parts:
+                assert got_parts[key].dtype == want_parts[key].dtype
+                np.testing.assert_array_equal(got_parts[key], want_parts[key])
+
+
+class TestNumComponentsCounted:
+    """``num_components`` is counted once per result and equals the
+    labels' max + 1 on built and patched indexes alike."""
+
+    @staticmethod
+    def _expected(idx):
+        labels = idx.result.edge_labels
+        return int(labels.max()) + 1 if labels.size else 0
+
+    def test_built_indexes(self):
+        for _, g in graph_corpus():
+            idx = BCCIndex.build(g)
+            assert idx.num_components() == self._expected(idx)
+            assert idx.num_components() == idx.result.num_components
+
+    def test_extended_and_shrunk_indexes(self):
+        from repro.service.engine import ServiceEngine
+
+        rng = np.random.default_rng(5)
+        engine = ServiceEngine()
+        # dense enough for tv-filter's certificate, so removals patch too
+        engine.put_graph("g", gen.random_connected_gnm(40, 200, seed=5))
+        sources = set()
+        for _ in range(60):
+            g = engine.graph("g")
+            if rng.random() < 0.5 and g.m > 170:
+                bridges = engine.index_for("g").result.bridges()
+                i = int(bridges[0] if bridges.size and rng.random() < 0.5
+                        else rng.integers(0, g.m))
+                engine.remove_edges("g", [[int(g.u[i]), int(g.v[i])]])
+            else:
+                engine.add_edges("g", rng.integers(0, g.n, size=(2, 2)).tolist())
+            idx = engine.index_for("g")
+            sources.add(idx.source)
+            assert idx.num_components() == self._expected(idx)
+            assert engine.query("g", "num_components") == self._expected(idx)
+        assert {"extend", "shrink"} <= sources
