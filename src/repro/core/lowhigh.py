@@ -81,7 +81,9 @@ def low_high(
         high = subtree_aggregate_contraction(localhigh, numbering.parent, "max", machine)
         return low, high
     if method == "rmq":
-        order = np.argsort(pre, kind="stable")
+        # pre is a permutation of 0..n-1: the preorder layout is its inverse
+        order = np.empty(n, dtype=np.int64)
+        order[pre] = np.arange(n, dtype=np.int64)
         arr_low = locallow[order]
         arr_high = localhigh[order]
         machine.parallel(n, Ops(random=2, contig=2))

@@ -12,6 +12,11 @@ from ..smp import MachineReport
 __all__ = ["BCCResult", "FilterCertificate", "canonical_edge_labels"]
 
 
+#: Integer labels in ``[0, size + _DENSE_SLACK)`` are numbered in place;
+#: the pipeline's labels are auxiliary-graph vertex ids, O(n + m).
+_DENSE_SLACK = 1 << 16
+
+
 def canonical_edge_labels(labels: np.ndarray) -> np.ndarray:
     """Renumber component labels by first occurrence (0, 1, 2, ...).
 
@@ -21,19 +26,29 @@ def canonical_edge_labels(labels: np.ndarray) -> np.ndarray:
     Labels that already number blocks by first occurrence — the first is
     0 and each is at most one above the running maximum, as the service
     patches leave them — are copied after that O(m) check, not sorted.
+    Otherwise one reverse scatter finds each label's first position (the
+    earliest write is the last, as in BFS discovery) and one prefix count
+    over the positions numbers those firsts, in O(m + range) without a
+    sort.  Foreign labels (negative, non-integer, or spread far beyond
+    the array's length) are first compacted to dense ids.
     """
     labels = np.asarray(labels)
-    if (labels.ndim == 1 and labels.size
-            and np.issubdtype(labels.dtype, np.integer) and labels[0] == 0):
+    integer = np.issubdtype(labels.dtype, np.integer)
+    if labels.ndim == 1 and labels.size and integer and labels[0] == 0:
         seen = np.maximum.accumulate(labels)
         if labels.min() >= 0 and (labels[1:] <= seen[:-1] + 1).all():
             return labels.astype(np.int64)
-    out = np.full(labels.shape, -1, dtype=np.int64)
-    _, first_idx, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    # np.unique sorts by value; re-rank by first occurrence
-    rank_by_first = np.argsort(np.argsort(first_idx))
-    out[:] = rank_by_first[inverse]
-    return out
+    ids = labels.ravel()
+    size = ids.size
+    if size == 0:
+        return np.zeros(labels.shape, dtype=np.int64)
+    if not (integer and ids.min() >= 0 and ids.max() < size + _DENSE_SLACK):
+        ids = np.unique(ids, return_inverse=True)[1].ravel()
+    first = np.empty(int(ids.max()) + 1, dtype=np.int64)
+    first[ids[::-1]] = np.arange(size - 1, -1, -1, dtype=np.int64)
+    first_at = first[ids]
+    rank = np.cumsum(first_at == np.arange(size), dtype=np.int64) - 1
+    return rank[first_at].reshape(labels.shape)
 
 
 class FilterCertificate(NamedTuple):

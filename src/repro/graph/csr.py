@@ -8,7 +8,8 @@ incurs a real cost in implementations" — so the conversion lives here as an
 explicit, instrumentable step.
 
 ``CSRGraph`` stores, for every vertex, a contiguous slice of neighbour ids
-(and the originating undirected edge id for each incident arc).
+(and the originating undirected edge id for each incident arc).  Built from
+the canonical edge order, the conversion is one linear-time radix pass.
 """
 
 from __future__ import annotations
@@ -68,21 +69,27 @@ class CSRGraph:
 
     @classmethod
     def from_edges(cls, n: int, u: np.ndarray, v: np.ndarray) -> "CSRGraph":
-        """Build CSR adjacency from an edge list (both orientations)."""
+        """Build CSR adjacency from an edge list (both orientations), in O(n + m).
+
+        The arcs of vertex ``t`` are its in-arcs ``t -> s`` from the edges
+        ``(s, t)``, then its out-arcs ``t -> w`` from the edges ``(t, w)``,
+        each in edge order: one stable radix sort of the arc tails
+        ``v ++ u`` groups them.  For :class:`~repro.graph.edgelist.Graph`'s
+        canonical edges (``u < v``, sorted lexicographically; what
+        ``normalize=False`` callers promise) ``s < t < w`` and both runs
+        ascend, so every slice is sorted by head, with no comparison sort.
+        Other input still yields a valid CSR, with unsorted slices.
+        """
+        from ..primitives.sorting import radix_argsort
+
         m = u.size
-        tail = np.concatenate([u, v])
-        head = np.concatenate([v, u])
-        eid = (
-            np.concatenate([np.arange(m, dtype=np.int64)] * 2)
-            if m
-            else np.empty(0, dtype=np.int64)
-        )
-        # sort arcs by (tail, head) to group adjacency slices
-        order = np.lexsort((head, tail))
-        tail, head, eid = tail[order], head[order], eid[order]
+        tail = np.concatenate([v, u])
+        order = radix_argsort(tail)
+        head = np.concatenate([u, v])[order]
+        eid = order - m * (order >= m)
         counts = np.bincount(tail, minlength=n).astype(np.int64, copy=False)
         indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64, copy=False)
-        return cls(n, indptr, head, eid)
+        return cls(n, indptr, head.astype(np.int64, copy=False), eid)
 
     @property
     def num_arcs(self) -> int:

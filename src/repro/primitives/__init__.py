@@ -23,7 +23,7 @@ from .prefix_sum import (
     segmented_prefix_scan,
 )
 from .rmq import SparseTable, range_max, range_min
-from .sorting import sample_argsort, sample_sort
+from .sorting import radix_argsort, sample_argsort, sample_sort
 from .spanning_tree import (
     SpanningForest,
     bfs_spanning_tree,
@@ -56,6 +56,7 @@ __all__ = [
     "distance_to_tail",
     "sample_sort",
     "sample_argsort",
+    "radix_argsort",
     "shiloach_vishkin",
     "fastsv",
     "hirschberg_chandra_sarwate",

@@ -15,6 +15,11 @@ The implementation executes the real phases:
    with a final sort of each bucket.
 
 Total work O(n log n); the bucket exchange is the random-access phase.
+
+The simulated machine is charged for those comparison-sort phases; the
+host executes each local sort and bucket merge of integer keys with
+:func:`radix_argsort`, the one stable integer sort of this package (also
+behind the CSR conversion and the level groupings of the tree sweeps).
 """
 
 from __future__ import annotations
@@ -25,7 +30,44 @@ import numpy as np
 
 from ..smp import Machine, Ops, resolve_machine
 
-__all__ = ["sample_sort", "sample_argsort"]
+__all__ = ["radix_argsort", "sample_sort", "sample_argsort"]
+
+#: bits per LSD pass: numpy's stable sort of 16-bit keys is a radix sort
+_DIGIT_BITS = 16
+
+
+def radix_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys, in linear time.
+
+    An LSD radix sort over 16-bit digits (of the offsets from the minimum
+    when a key is negative): one pass when the keys are below 2**16,
+    ``ceil(bits / 16)`` otherwise.  Each pass is numpy's stable sort of a
+    ``uint16`` digit array, which numpy runs as a counting (radix) sort,
+    so ties keep their input order across passes.
+    """
+    keys = np.asarray(keys)
+    if not np.issubdtype(keys.dtype, np.integer):
+        raise TypeError(f"radix_argsort needs integer keys, got {keys.dtype}")
+    if keys.size == 0:
+        return np.empty(0, dtype=np.intp)
+    lo, hi = int(keys.min()), int(keys.max())
+    if lo < 0:
+        # modular uint64 arithmetic gives the exact offsets from the minimum
+        keys = keys.astype(np.uint64) - np.uint64(lo % 2**64)
+        hi -= lo
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = _DIGIT_BITS
+    while hi >> shift:
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += _DIGIT_BITS
+    return order
+
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    if np.issubdtype(keys.dtype, np.integer):
+        return radix_argsort(keys)
+    return np.argsort(keys, kind="stable")
 
 
 def _block_bounds(n: int, p: int) -> np.ndarray:
@@ -58,7 +100,7 @@ def sample_argsort(
     local_orders: list[np.ndarray] = []
     for i in range(nblocks):
         a, b = int(bounds[i]), int(bounds[i + 1])
-        order = np.argsort(keys[a:b], kind="stable") + a
+        order = _stable_argsort(keys[a:b]) + a
         local_orders.append(order)
     machine.parallel(n, Ops(contig=2, alu=logn_p))
 
@@ -102,14 +144,10 @@ def sample_argsort(
         bucket = np.concatenate(segs)
         exchange_items += bucket.size
         # stable p-way merge of already-sorted runs, realized by a stable
-        # sort keyed on (key, original index); original index order inside
-        # each run is ascending, and runs were gathered in block order, so
-        # stability on the key reproduces the global stable order.
-        merged = bucket[np.argsort(keys[bucket], kind="stable")]
-        # restore global stability across runs: break key ties by index
-        ties = np.flatnonzero(np.diff(keys[merged]) == 0)
-        if ties.size:
-            merged = bucket[np.lexsort((bucket, keys[bucket]))]
+        # sort on the key: indices ascend inside each run and the runs
+        # were gathered in block order, so equal keys keep ascending
+        # indices and the result is the global stable order
+        merged = bucket[_stable_argsort(keys[bucket])]
         merge_items += bucket.size
         out[pos : pos + bucket.size] = merged
         pos += bucket.size

@@ -34,7 +34,7 @@ import numpy as np
 from ..smp import Machine, Ops, resolve_machine
 from .euler_tour import TreeNumbering
 from .prefix_sum import exclusive_prefix_sum
-from .sorting import sample_argsort
+from .sorting import radix_argsort, sample_argsort
 
 __all__ = [
     "vertices_by_level",
@@ -48,14 +48,18 @@ __all__ = [
 
 
 def vertices_by_level(level: np.ndarray) -> list[np.ndarray]:
-    """Vertices grouped by level, index = level (one sort, then slices)."""
+    """Vertices grouped by level, index = level (one radix sort, then slices).
+
+    Each group ascends by vertex id.  Vertices with a negative level
+    (unreached) belong to no group.
+    """
     level = np.asarray(level)
-    n = level.size
-    if n == 0:
+    reached = np.flatnonzero(level >= 0)
+    if reached.size == 0:
         return []
-    order = np.argsort(level, kind="stable")
-    sorted_levels = level[order]
-    bounds = np.searchsorted(sorted_levels, np.arange(sorted_levels[-1] + 2))
+    order = reached[radix_argsort(level[reached])]
+    bounds = np.zeros(int(level[order[-1]]) + 2, dtype=np.int64)
+    np.cumsum(np.bincount(level[reached]), out=bounds[1:])
     return [order[bounds[i] : bounds[i + 1]] for i in range(bounds.size - 1)]
 
 

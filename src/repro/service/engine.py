@@ -370,6 +370,11 @@ class ServiceEngine:
             with self._swap_lock:
                 self._cache.move_to_end(entry.fingerprint)
             self._events.event("cache.hit")
+            snap = self._snapshots.get(name)
+            if (snap is not None and snap.index is idx
+                    and snap.fingerprint == entry.fingerprint
+                    and snap.version == entry.version):
+                return idx  # already installed for exactly this content
         else:
             self._events.event("cache.miss")
             idx = self._catch_up(name, entry, self._region, self.machine)

@@ -25,11 +25,16 @@ access pattern the source paper's SMP design argues for.
 The scalar point queries (:meth:`~BCCIndex.same_bcc`,
 :meth:`~BCCIndex.is_articulation`, :meth:`~BCCIndex.is_bridge`,
 :meth:`~BCCIndex.component_of_edge`, :meth:`~BCCIndex.edge_id`) are
-size-1 wrappers over the bulk kernels, so batch answers are bit-identical
-to element-wise point answers by construction.
+Python-int code over the same arrays: a scalar searchsorted into the edge
+keys, and a walk of two vertices' block slices.  A size-1 batch would pay
+a dozen numpy calls to answer one pair.  They coerce their arguments the
+way the batch kernels do (``np.asarray(x, dtype=np.int64)``), so every
+point answer, and every exception type, matches the batch kernels'.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -200,8 +205,17 @@ class BCCIndex:
     # ------------------------------------------------------------------ #
 
     def _check_vertex(self, v: int) -> int:
-        v = int(v)
+        """One vertex as a Python int, coerced as the batch kernels do."""
+        try:
+            v = operator.index(v)
+        except TypeError:
+            arr = np.asarray([v], dtype=np.int64)
+            if arr.shape != (1,):
+                raise ValueError("expected one vertex, got a sequence") from None
+            v = int(arr[0])
         if not 0 <= v < self.graph.n:
+            if not -(2**63) <= v < 2**63:  # as np.asarray(..., np.int64) fails
+                raise OverflowError(f"vertex {v} does not fit in int64")
             raise IndexError(f"vertex {v} out of range [0, {self.graph.n})")
         return v
 
@@ -327,7 +341,7 @@ class BCCIndex:
         return {"block": block, "is_bridge": bridge}
 
     # ------------------------------------------------------------------ #
-    # point queries: size-1 wrappers over the bulk kernels
+    # point queries: scalar code over the same arrays
     # ------------------------------------------------------------------ #
 
     def blocks_of(self, v: int) -> np.ndarray:
@@ -337,8 +351,11 @@ class BCCIndex:
 
     def edge_id(self, u: int, v: int) -> int | None:
         """Canonical edge index of ``{u, v}``, or None if not an edge."""
-        i = int(self.edge_id_many([[u, v]])[0])
-        return None if i < 0 else i
+        u, v = self._check_vertex(u), self._check_vertex(v)
+        keys = self._edge_keys
+        probe = min(u, v) * max(self.graph.n, 1) + max(u, v)
+        i = int(keys.searchsorted(probe))
+        return i if i < keys.size and keys[i] == probe else None
 
     def same_bcc(self, u: int, v: int) -> bool:
         """True iff ``u`` and ``v`` belong to a common block.
@@ -347,23 +364,36 @@ class BCCIndex:
         a common simple cycle.  ``same_bcc(v, v)`` is True iff ``v`` has
         at least one incident edge.
         """
-        return bool(self.same_bcc_many([[u, v]])[0])
+        u, v = self._check_vertex(u), self._check_vertex(v)
+        indptr, blocks = self._vb_indptr, self._vb_blocks
+        a0, a1 = int(indptr[u]), int(indptr[u + 1])
+        b0, b1 = int(indptr[v]), int(indptr[v + 1])
+        if a0 == a1 or b0 == b1:
+            return False
+        if a1 - a0 == 1 and b1 - b0 == 1:  # two interior vertices
+            return bool(blocks[a0] == blocks[b0])
+        if a1 - a0 > b1 - b0:
+            a0, a1, b0, b1 = b0, b1, a0, a1
+        mine, theirs = blocks[a0:a1], blocks[b0:b1]
+        j = np.minimum(theirs.searchsorted(mine), theirs.size - 1)
+        return bool((theirs[j] == mine).any())
 
     def is_articulation(self, v: int) -> bool:
         """True iff ``v`` is a cut vertex (belongs to two or more blocks)."""
-        return bool(self.is_articulation_many([v])[0])
+        return bool(self._is_art[self._check_vertex(v)])
 
     def is_bridge(self, u: int, v: int) -> bool:
         """True iff ``{u, v}`` is an edge forming a single-edge block.
 
         Non-edges return False (they are certainly not bridges).
         """
-        return bool(self.is_bridge_many([[u, v]])[0])
+        i = self.edge_id(u, v)
+        return i is not None and bool(self._is_bridge[i])
 
     def component_of_edge(self, u: int, v: int) -> int | None:
         """Canonical block id of edge ``{u, v}``; None for non-edges."""
-        c = int(self.component_of_edge_many([[u, v]])[0])
-        return None if c < 0 else c
+        i = self.edge_id(u, v)
+        return None if i is None else int(self.result.edge_labels[i])
 
     def num_components(self) -> int:
         """Number of biconnected components (blocks)."""

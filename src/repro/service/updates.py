@@ -102,6 +102,19 @@ def _edge_keys(g: Graph) -> np.ndarray:
     return g.u * np.int64(max(g.n, 1)) + g.v
 
 
+def _insert_sorted(a: np.ndarray, ins: np.ndarray, values) -> np.ndarray:
+    """``np.insert(a, ins, values)`` for ascending ``ins``: one concatenation
+    of the slices between the insert positions, with no mask over the
+    result (update batches insert a handful of edges into m)."""
+    values = np.broadcast_to(np.asarray(values, dtype=a.dtype), ins.shape)
+    pieces, prev = [], 0
+    for k, i in enumerate(ins.tolist()):
+        pieces += (a[prev:i], values[k : k + 1])
+        prev = i
+    pieces.append(a[prev:])
+    return np.concatenate(pieces)
+
+
 def apply_add_edges(g: Graph, pairs) -> tuple[Graph, np.ndarray, np.ndarray]:
     """Add a batch of edges; returns ``(new_graph, added_u, added_v)``.
 
@@ -113,7 +126,7 @@ def apply_add_edges(g: Graph, pairs) -> tuple[Graph, np.ndarray, np.ndarray]:
     if lo.size == 0:
         return g, lo, hi
     # the batch comes back sorted by key, so inserting each new edge at
-    # its searchsorted position keeps the edge list canonical: a memcpy
+    # its searchsorted position keeps the edge list canonical: memcpys
     keys = _edge_keys(g)
     probe = lo * np.int64(g.n) + hi
     ins = np.searchsorted(keys, probe)
@@ -122,7 +135,7 @@ def apply_add_edges(g: Graph, pairs) -> tuple[Graph, np.ndarray, np.ndarray]:
         lo, hi, ins = lo[new], hi[new], ins[new]
     if lo.size == 0:
         return g, lo, hi
-    ng = Graph(g.n, np.insert(g.u, ins, lo), np.insert(g.v, ins, hi),
+    ng = Graph(g.n, _insert_sorted(g.u, ins, lo), _insert_sorted(g.v, ins, hi),
                normalize=False)
     return ng, lo, hi
 
@@ -193,15 +206,15 @@ def extend_index(
     order = np.argsort(added_keys)
     added_keys = added_keys[order]
     ins = np.searchsorted(index._edge_keys, added_keys)
-    keys = np.insert(index._edge_keys, ins, added_keys)
+    keys = _insert_sorted(index._edge_keys, ins, added_keys)
     if not np.array_equal(new_graph.u * n + new_graph.v, keys):
         return None  # shouldn't happen; bail out to a rebuild rather than corrupt
-    labels = np.insert(index.result.edge_labels, ins, added_labels[order])
+    labels = _insert_sorted(index.result.edge_labels, ins, added_labels[order])
     # the added edges stay outside the carried certificate
     cert = index.certificate
     if cert is not None and _keeps_certificate(cert, added_u, added_v):
-        cert = FilterCertificate(np.insert(cert.mask, ins, False),
-                                 np.insert(cert.tree, ins, False),
+        cert = FilterCertificate(_insert_sorted(cert.mask, ins, False),
+                                 _insert_sorted(cert.tree, ins, False),
                                  cert.level, cert.component)
     else:
         cert = None
@@ -212,7 +225,7 @@ def extend_index(
     # block is the bridge itself, which already exists), so it is never
     # a bridge
     return BCCIndex._patch(index, new_graph, labels, edge_keys=keys,
-                           bridge_mask=np.insert(index._is_bridge, ins, False),
+                           bridge_mask=_insert_sorted(index._is_bridge, ins, False),
                            source="extend", fingerprint=fingerprint,
                            certificate=cert)
 
