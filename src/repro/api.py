@@ -44,17 +44,10 @@ __all__ = [
 CUSTOM_BASE = "tv-opt"
 
 
-def _sequential_runner(g, machine=None, *, strategies=None, backend=None, p=None,
-                       team=None, **kwargs):
+def _sequential_runner(g, machine=None, *, strategies=None, **kwargs):
     rejected = sorted(kwargs)
     if strategies is not None:
         rejected.append("strategies")
-    if backend not in (None, "simulated"):
-        rejected.append("backend")
-    if p is not None:
-        rejected.append("p")
-    if team is not None:
-        rejected.append("team")
     if rejected:
         raise TypeError(
             f"algorithm 'sequential' accepts no algorithm options, got {rejected}"
@@ -63,40 +56,30 @@ def _sequential_runner(g, machine=None, *, strategies=None, backend=None, p=None
 
 
 def _pipeline_runner(spec_name: str, result_name: str | None = None):
-    def run(g, machine=None, *, strategies=None, backend=None, p=None,
-            team=None, **kwargs):
+    def run(g, machine=None, *, strategies=None, **kwargs):
         return _pipeline.run_pipeline(
             g,
             spec_name,
             machine,
             strategies=strategies,
             algorithm_name=result_name,
-            backend=backend,
-            p=p,
-            team=team,
             **kwargs,
         )
 
     return run
 
 
-def _auto_runner(g, machine=None, *, strategies=None, backend=None, p=None,
-                 team=None, objective="wall", **kwargs):
+def _auto_runner(g, machine=None, *, strategies=None, objective="wall", **kwargs):
     """Adaptive dispatch: pick a concrete variant via :mod:`repro.core.select`.
 
-    The choice is pure arithmetic on (n, m, workers) — deterministic
-    across processes.  The result carries the *chosen* algorithm's name so
-    callers can see what ran; every other option (strategies, knobs,
-    backend, team) is forwarded to the chosen runner untouched.
+    The choice is pure arithmetic on (n, m, the machine's p) —
+    deterministic across processes.  The result carries the *chosen*
+    algorithm's name so callers can see what ran; every other option
+    (strategies, knobs) is forwarded to the chosen runner untouched.
     """
-    workers = p
-    if workers is None:
-        workers = getattr(machine, "p", None)
-    if workers is None and team is not None:
-        workers = team.p
-    chosen = _select.choose_algorithm(g.n, g.m, workers or 1, objective=objective)
-    return ALGORITHMS[chosen](g, machine, strategies=strategies, backend=backend,
-                              p=p, team=team, **kwargs)
+    workers = getattr(machine, "p", None) or 1
+    chosen = _select.choose_algorithm(g.n, g.m, workers, objective=objective)
+    return ALGORITHMS[chosen](g, machine, strategies=strategies, **kwargs)
 
 
 def _build_algorithms():
@@ -150,9 +133,6 @@ def biconnected_components(
     machine: Machine | None = None,
     *,
     strategies: Mapping[str, str] | None = None,
-    backend: str | None = None,
-    p: int | None = None,
-    team=None,
     **kwargs,
 ) -> BCCResult:
     """Biconnected components of ``g``.
@@ -176,20 +156,6 @@ def biconnected_components(
     strategies:
         Per-stage strategy overrides, e.g. ``{"lowhigh": "rmq",
         "cc": "pruned"}`` — see :func:`repro.core.pipeline.list_strategies`.
-    backend:
-        Execution backend: ``"simulated"`` (default; vectorized + cost
-        model), ``"serial"`` or ``"processes"`` (real worker team on
-        shared memory; see :mod:`repro.runtime`).  All
-        backends produce bit-identical labels; real backends additionally
-        record measured per-region wall-clock times in ``result.report``.
-    p:
-        Worker count for real backends (defaults to ``machine.p`` when a
-        machine is given, else 1).
-    team:
-        A caller-owned :class:`~repro.runtime.team.Team` to execute on
-        as-is (instead of creating one per run) — what long-lived callers
-        like the service layer's background rebuild scheduler use.  The
-        caller keeps ownership; ``"sequential"`` rejects it.
     kwargs:
         Strategy knobs (``lowhigh_method``, ``list_ranking``,
         ``fallback_ratio``, ...).  Unknown knobs raise ``TypeError``.
@@ -200,8 +166,7 @@ def biconnected_components(
         raise ValueError(
             f"unknown algorithm {algorithm!r}; choose from {sorted(ALGORITHMS)}"
         ) from None
-    return fn(g, machine, strategies=strategies, backend=backend, p=p,
-              team=team, **kwargs)
+    return fn(g, machine, strategies=strategies, **kwargs)
 
 
 def articulation_points(

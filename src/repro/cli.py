@@ -27,7 +27,6 @@ from .api import ALGORITHMS, biconnected_components, describe_algorithm
 from .core.blockcut import augment_to_biconnected
 from .graph import Graph, generators as gen
 from .graph.io import read_graph, write_graph
-from .runtime import BACKEND_NAMES
 from .service.engine import FRESHNESS_LEVELS, MAINTENANCE_MODES, REBUILD_MODES
 from .smp import e4500
 
@@ -116,15 +115,12 @@ def cmd_bcc(args) -> int:
         from .obs import ChromeTraceSink
 
         trace_sink = machine.telemetry.add_sink(ChromeTraceSink())
-    workers = args.p if args.p else None
     try:
         res = biconnected_components(
             g,
             algorithm=args.algorithm,
             machine=machine,
             strategies=strategies,
-            backend=args.backend,
-            p=workers,
         )
     except (TypeError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
@@ -143,7 +139,6 @@ def cmd_bcc(args) -> int:
             "n": g.n,
             "m": g.m,
             "algorithm": res.algorithm,
-            "backend": res.backend,
             "num_components": res.num_components,
             "num_articulation_points": int(res.articulation_points().size),
             "num_bridges": int(res.bridges().size),
@@ -166,7 +161,7 @@ def cmd_bcc(args) -> int:
             doc["verified"] = verified
         print(json.dumps(doc, indent=2))
     else:
-        print(f"n={g.n} m={g.m} algorithm={res.algorithm} backend={res.backend}")
+        print(f"n={g.n} m={g.m} algorithm={res.algorithm}")
         print(f"biconnected components: {res.num_components}")
         if sizes.size:
             print(f"largest block: {int(sizes.max())} edges; "
@@ -177,8 +172,7 @@ def cmd_bcc(args) -> int:
             for step, sec in res.report.region_times_s().items():
                 print(f"  {step:22s} {sec:8.4f}s")
         if wall:
-            print(f"measured wall-clock ({res.backend}): "
-                  f"{res.report.wall_time_s:.4f}s")
+            print(f"measured wall-clock: {res.report.wall_time_s:.4f}s")
             for step, sec in wall.items():
                 print(f"  {step:22s} {sec:8.4f}s")
         if args.profile:
@@ -186,9 +180,8 @@ def cmd_bcc(args) -> int:
 
             print(format_profile(res.report))
         if trace_sink is not None:
-            workers_seen = len(trace_sink.worker_tracks())
             print(f"chrome trace written to {args.trace} "
-                  f"({len(trace_sink.events)} events, {workers_seen} worker tracks); "
+                  f"({len(trace_sink.events)} events); "
                   f"open in chrome://tracing or ui.perfetto.dev")
         if verified is not None:
             print(f"verified against sequential Tarjan: {verified}")
@@ -234,12 +227,7 @@ def cmd_info(args) -> int:
     g = _read(args.graph)
     deg = g.degrees()
     try:
-        idx = BCCIndex.build(
-            g,
-            algorithm=args.algorithm,
-            backend=args.backend,
-            p=args.p if args.p else None,
-        )
+        idx = BCCIndex.build(g, algorithm=args.algorithm)
     except (TypeError, ValueError) as exc:
         raise SystemExit(str(exc)) from None
     connected = is_connected(g)
@@ -264,18 +252,9 @@ def cmd_info(args) -> int:
         "leaf_blocks": int(idx.block_cut().leaf_blocks().size),
         "largest_block_edges": idx.largest_block_edges(),
         "biconnected": biconnected,
-        "backend": idx.result.backend,
     }
-    report = idx.result.report
-    wall = report.region_wall_s() if report is not None else {}
     if args.json:
-        doc = {"command": "info", **facts}
-        if wall:
-            doc["wall"] = {
-                "time_s": float(report.wall_time_s),
-                "regions": {k: float(v) for k, v in wall.items()},
-            }
-        print(json.dumps(doc, indent=2))
+        print(json.dumps({"command": "info", **facts}, indent=2))
         return 0
     print(f"file            : {facts['file']}")
     print(f"vertices        : {facts['n']}")
@@ -290,10 +269,6 @@ def cmd_info(args) -> int:
     print(f"leaf blocks     : {facts['leaf_blocks']}")
     print(f"largest block   : {facts['largest_block_edges']} edges")
     print(f"biconnected     : {facts['biconnected']}")
-    if facts["backend"] != "simulated":
-        print(f"backend         : {facts['backend']}")
-        for step, sec in wall.items():
-            print(f"  {step:22s} {sec:8.4f}s")
     return 0
 
 
@@ -560,11 +535,7 @@ def main(argv=None) -> int:
     p.add_argument("--explain", action="store_true",
                    help="print the resolved stage/strategy pipeline and exit")
     p.add_argument("--p", "-p", type=int, default=0,
-                   help="processor count: simulated E4500 processors and, for "
-                        "real backends, the worker count (0: off/backend default)")
-    p.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                   help="execution backend (default simulated); real backends "
-                        "additionally report measured per-region wall-clock")
+                   help="simulated E4500 processor count (0: off)")
     p.add_argument("--verify", action="store_true",
                    help="check the labels against sequential Tarjan and fail "
                         "on mismatch")
@@ -575,7 +546,7 @@ def main(argv=None) -> int:
                         "wall-clock seconds")
     p.add_argument("--trace", default=None, metavar="FILE",
                    help="write a chrome://tracing / Perfetto JSON timeline "
-                        "(stage spans; plus per-worker tracks on real backends)")
+                        "(one span per pipeline stage)")
     p.add_argument("--json", action="store_true",
                    help="emit a machine-readable JSON document")
     p.set_defaults(fn=cmd_bcc)
@@ -599,11 +570,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("info", help="structural summary")
     p.add_argument("graph")
     p.add_argument("--algorithm", choices=sorted(ALGORITHMS), default="tv-filter")
-    p.add_argument("--backend", choices=BACKEND_NAMES, default=None,
-                   help="execution backend for the index build "
-                        "(default simulated)")
-    p.add_argument("--p", "-p", type=int, default=0,
-                   help="worker count for real backends (0: backend default)")
     p.add_argument("--json", action="store_true",
                    help="emit a machine-readable JSON document")
     p.set_defaults(fn=cmd_info)

@@ -31,7 +31,6 @@ from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from ..runtime import BACKEND_NAMES, Team, active_team, make_team
 from ..smp import Machine, NullMachine, resolve_machine
 from .result import BCCResult
 
@@ -168,7 +167,6 @@ class PipelineContext:
         "g",
         "machine",
         "knobs",
-        "team",
         "tree_ids",
         "parent",
         "level",
@@ -454,9 +452,6 @@ def run_pipeline(
     *,
     strategies: Mapping[str, str] | None = None,
     algorithm_name: str | None = None,
-    backend: str | None = None,
-    p: int | None = None,
-    team: Team | None = None,
     **knobs,
 ) -> BCCResult:
     """Run an algorithm spec (or registered name) through the stage pipeline.
@@ -466,29 +461,10 @@ def run_pipeline(
     strategies' declared options — unknown knobs raise ``TypeError``.
     ``algorithm_name`` relabels the :class:`BCCResult` (used by wrappers
     and the density fallback, which reports the caller's name).
-
-    ``backend`` selects the execution substrate (one of
-    :data:`repro.runtime.BACKEND_NAMES`; default ``"simulated"``).  On a
-    real backend a worker team of ``p`` workers is created for the run
-    (or a caller-owned ``team`` is used as-is), published via
-    :func:`repro.runtime.active_team` so dispatching primitives execute
-    their parallel kernels on it, and — when no ``machine`` was passed —
-    an instrumented :class:`~repro.smp.machine.Machine` is created so the
-    result carries both simulated *and* measured per-region times from
-    the one run.  Stages without a parallel kernel execute vectorized
-    inside their instrumented region.  Every backend produces
-    bit-identical edge labels.
     """
     spec = algorithm if isinstance(algorithm, AlgorithmSpec) else get_algorithm(algorithm)
     machine = resolve_machine(machine)
     name = algorithm_name or spec.name
-
-    backend_name = backend if backend is not None else (team.name if team else "simulated")
-    if team is None and backend_name not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown backend {backend_name!r}; choose from {list(BACKEND_NAMES)}"
-        )
-    real_backend = backend_name != "simulated"
 
     resolved = resolve_strategies(spec, strategies, knobs)
     allowed = _allowed_knobs(spec, resolved)
@@ -500,9 +476,7 @@ def run_pipeline(
         )
 
     if g.m == 0:
-        return BCCResult(
-            g, np.zeros(0, dtype=np.int64), name, _maybe_report(machine), backend_name
-        )
+        return BCCResult(g, np.zeros(0, dtype=np.int64), name, _maybe_report(machine))
 
     if spec.fallback_to is not None:
         ratio = knobs.get("fallback_ratio", spec.fallback_ratio)
@@ -523,52 +497,24 @@ def run_pipeline(
                 machine,
                 strategies=fb_strategies,
                 algorithm_name=name,
-                backend=backend_name,
-                p=p,
-                team=team,
                 **fb_knobs,
             )
 
-    owned_team = False
-    if real_backend and team is None:
-        workers = p if p is not None else (machine.p if not isinstance(machine, NullMachine) else 1)
-        team = make_team(backend_name, workers)
-        owned_team = True
-    if real_backend and isinstance(machine, NullMachine):
-        # instrument by default on real backends: one run yields both the
-        # simulated and the measured per-region breakdown
-        machine = Machine(p=team.p)
-
-    # Attach the machine's telemetry to the team for the duration of the
-    # run so worker spans (and shm events) land under the stage spans.
-    attached_telemetry = False
-    if real_backend and not isinstance(machine, NullMachine) and team.telemetry is None:
-        team.telemetry = machine.telemetry
-        attached_telemetry = True
-
     ctx = PipelineContext(g, machine, knobs)
-    ctx.team = team
-    try:
-        with active_team(team if real_backend else None):
-            for stage in STAGE_ORDER:
-                if stage not in resolved:
-                    continue
-                strat = get_strategy(stage, resolved[stage])
-                if stage == "lowhigh":
-                    _prepare_labeling(ctx)
-                region = spec.regions.get(stage, strat.region)
-                if region is None:
-                    strat.fn(ctx)
-                else:
-                    with machine.region(region):
-                        strat.fn(ctx)
-    finally:
-        if attached_telemetry:
-            team.telemetry = None
-        if owned_team:
-            team.close()
+    for stage in STAGE_ORDER:
+        if stage not in resolved:
+            continue
+        strat = get_strategy(stage, resolved[stage])
+        if stage == "lowhigh":
+            _prepare_labeling(ctx)
+        region = spec.regions.get(stage, strat.region)
+        if region is None:
+            strat.fn(ctx)
+        else:
+            with machine.region(region):
+                strat.fn(ctx)
     return BCCResult(
-        g, ctx.labels, name, _maybe_report(machine), backend_name, ctx.certificate
+        g, ctx.labels, name, _maybe_report(machine), certificate=ctx.certificate
     )
 
 

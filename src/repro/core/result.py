@@ -84,12 +84,6 @@ class BCCResult:
         Name of the algorithm that produced the result.
     report:
         The simulated-machine accounting (None when run uninstrumented).
-        When the run executed on a real backend, ``report.wall_regions``
-        additionally holds the measured per-region wall-clock seconds.
-    backend:
-        Name of the execution backend that produced the result
-        (``"simulated"``, ``"serial"`` or ``"processes"``).
-        Every backend yields bit-identical ``edge_labels``.
     certificate:
         The :class:`FilterCertificate` of the run when its ``filter=forest``
         step ran, else None (tv-filter's density fallback, every other
@@ -97,7 +91,7 @@ class BCCResult:
     """
 
     __slots__ = (
-        "graph", "edge_labels", "algorithm", "report", "backend", "certificate", "_cut_cache",
+        "graph", "edge_labels", "algorithm", "report", "certificate", "_cut_cache",
         "_num_components",
     )
 
@@ -107,7 +101,6 @@ class BCCResult:
         edge_labels: np.ndarray,
         algorithm: str,
         report: MachineReport | None = None,
-        backend: str = "simulated",
         certificate: FilterCertificate | None = None,
     ):
         if np.asarray(edge_labels).shape != (graph.m,):
@@ -116,7 +109,6 @@ class BCCResult:
         self.edge_labels = canonical_edge_labels(edge_labels)
         self.algorithm = algorithm
         self.report = report
-        self.backend = backend
         self.certificate = certificate
         self._cut_cache = None
         self._num_components = None

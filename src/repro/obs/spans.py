@@ -22,7 +22,7 @@ replaces all of them with one primitive:
   attributes it, so simulated figures are bit-identical by construction;
 * ``telemetry.worker_span(...)`` records a per-worker execution interval
   shipped back by a :class:`~repro.runtime.team.Team` (the process
-  backend ferries these over its result pipes).
+  team ferries these over its result pipes).
 
 Sinks decide what to keep: wall-clock seconds per path
 (:class:`~repro.obs.sinks.WallClockSink`), aggregate counters
@@ -180,7 +180,7 @@ class Telemetry:
     def worker_span(self, worker: int, name: str, t0_ns: int, t1_ns: int) -> None:
         """Record one worker's execution interval for ``name``.
 
-        Called by team backends after (or while) collecting results; the
+        Called by teams after (or while) collecting results; the
         attribution path is the span that dispatched the parallel region
         (still open at collection time).
         """

@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph import CSRGraph, Graph
-from ..runtime.context import current_team
 from ..smp import Machine, Ops, resolve_machine
 from .connectivity import shiloach_vishkin
 
@@ -182,8 +181,6 @@ def bfs_forest(
     machine: Machine | None = None,
     csr: CSRGraph | None = None,
     cover_all: bool = False,
-    *,
-    team=None,
 ) -> BFSResult:
     """Level-synchronous BFS from ``roots`` (all components if None).
 
@@ -195,21 +192,7 @@ def bfs_forest(
     unreached vertex, tree after tree, would give — the same roots,
     parents, levels and parent edges — because components share no arc and
     each keeps its proposals' relative order in every level's gather.
-
-    When an execution backend is active (``team`` passed explicitly, or
-    published via :func:`repro.runtime.active_team`) and the graph clears
-    the team's dispatch grain, frontier expansion runs on the backend's
-    worker team (:func:`repro.runtime.kernels.bfs_forest`) — identical
-    machine charges, bit-identical parents/levels/parent edges.
     """
-    if team is None:
-        team = current_team()
-    if team is not None and g.n + 2 * g.m >= team.grain:
-        from ..runtime import kernels
-
-        return kernels.bfs_forest(
-            g, roots, team=team, machine=machine, csr=csr, cover_all=cover_all
-        )
     machine = resolve_machine(machine)
     n = g.n
     parent = np.full(n, -1, dtype=np.int64)

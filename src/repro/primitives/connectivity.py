@@ -25,7 +25,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph import Graph
-from ..runtime.context import current_team
 from ..smp import Machine, Ops, resolve_machine
 
 __all__ = [
@@ -75,7 +74,6 @@ def shiloach_vishkin(
     machine: Machine | None = None,
     *,
     mode: str = "engineered",
-    team=None,
 ) -> ConnectivityResult:
     """SV connectivity over an edge list on vertices ``0..n-1``.
 
@@ -97,24 +95,9 @@ def shiloach_vishkin(
     Both modes produce identical components and a valid spanning forest of
     graft-winning edges; they differ in the work/rounds profile charged to
     the machine.
-
-    When an execution backend is active (``team`` passed explicitly, or
-    published via :func:`repro.runtime.active_team`), the engineered mode
-    dispatches to the backend's worker team
-    (:func:`repro.runtime.kernels.shiloach_vishkin`) — identical machine
-    charges and bit-identical output including the graft-winning forest.
-    The textbook mode always runs vectorized (it exists to emulate the
-    PRAM schedule the cost model prices, not to be fast).
     """
     if mode not in ("engineered", "textbook"):
         raise ValueError(f"unknown SV mode {mode!r}")
-    if mode == "engineered":
-        if team is None:
-            team = current_team()
-        if team is not None and 2 * np.asarray(u).size >= team.grain:
-            from ..runtime import kernels
-
-            return kernels.shiloach_vishkin(n, u, v, team=team, machine=machine)
     machine = resolve_machine(machine)
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
@@ -202,8 +185,6 @@ def fastsv(
     u: np.ndarray,
     v: np.ndarray,
     machine: Machine | None = None,
-    *,
-    team=None,
 ) -> ConnectivityResult:
     """FastSV connectivity (Zhang–Azad–Hu, arXiv:1910.05971).
 
@@ -217,26 +198,13 @@ def fastsv(
     over both arc directions, and stops when ``f`` is stable.  Because
     every update is a ``min`` over values derived from the same snapshot,
     the result is independent of update order — no CRCW arbitration is
-    needed, which is what makes the parallel kernel
-    (:func:`repro.runtime.kernels.fastsv`) bit-identical across backends
-    and worker counts by construction rather than by replayed tie-breaks.
-    At the fixpoint every tree is a star and adjacent vertices share a
+    needed.  At the fixpoint every tree is a star and adjacent vertices share a
     root, so ``labels`` are the per-component *minimum* vertex ids.
 
     Unlike SV's arbitrary-graft schedule, min-hooking has no well-defined
     "winning edge" per merge, so ``forest_edges`` is always empty — use
     :func:`shiloach_vishkin` (or HCS) when a spanning forest is needed.
-
-    When an execution backend is active (``team`` passed explicitly, or
-    published via :func:`repro.runtime.active_team`), dispatches to the
-    backend kernel — identical machine charges and bit-identical labels.
     """
-    if team is None:
-        team = current_team()
-    if team is not None and 2 * np.asarray(u).size >= team.grain:
-        from ..runtime import kernels
-
-        return kernels.fastsv(n, u, v, team=team, machine=machine)
     machine = resolve_machine(machine)
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)

@@ -22,7 +22,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..runtime.context import current_team
 from ..smp import Machine, Ops, resolve_machine
 
 __all__ = ["prefix_sum", "exclusive_prefix_sum", "prefix_scan", "segmented_prefix_scan"]
@@ -48,18 +47,10 @@ def prefix_scan(
     x: np.ndarray,
     op: str = "sum",
     machine: Machine | None = None,
-    *,
-    team=None,
 ) -> np.ndarray:
     """Inclusive parallel scan of ``x`` under ``op`` in {'sum','max','min'}.
 
     Returns an array ``y`` with ``y[i] = op(x[0], ..., x[i])``.
-
-    When an execution backend is active (``team`` passed explicitly, or
-    published via :func:`repro.runtime.active_team`) and the input clears
-    the team's dispatch grain, the scan runs on the backend's worker team
-    (:func:`repro.runtime.kernels.prefix_scan`) with identical machine
-    charges and — for integer dtypes — bit-identical output.
     """
     machine = resolve_machine(machine)
     if op not in _SCAN_OPS:
@@ -67,12 +58,6 @@ def prefix_scan(
     cum_fn, red_fn, _ = _SCAN_OPS[op]
     x = np.asarray(x)
     n = x.size
-    if team is None:
-        team = current_team()
-    if team is not None and n >= team.grain and x.dtype != bool:
-        from ..runtime import kernels
-
-        return kernels.prefix_scan(x, op, team=team, machine=machine)
     out = np.empty_like(x)
     if n == 0:
         return out

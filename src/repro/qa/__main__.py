@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from ..runtime.team import BACKEND_NAMES
 from .fuzz import FuzzConfig, run_fuzz
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.qa",
-        description="Correctness fuzzing for the BCC algorithms and runtime.",
+        description="Correctness fuzzing for the BCC algorithms and service.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     pf = sub.add_parser(
@@ -29,11 +28,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pf.add_argument("--algorithm", action="append", dest="algorithms",
                     metavar="NAME",
                     help="algorithm under test; repeatable (default: all registered)")
-    pf.add_argument("--backend", action="append", dest="backends",
-                    choices=BACKEND_NAMES,
-                    help="execution backend; repeatable (default: all)")
-    pf.add_argument("--p", action="append", dest="ps", type=int, metavar="P",
-                    help="worker count for real backends; repeatable (default 1 2 4)")
     pf.add_argument("--max-iterations", type=int, default=None,
                     help="stop after N iterations instead of the time budget")
     pf.add_argument("--max-failures", type=int, default=5,
@@ -62,8 +56,6 @@ def main(argv=None) -> int:
         seconds=args.seconds,
         seed=args.seed,
         algorithms=tuple(args.algorithms) if args.algorithms else None,
-        backends=tuple(args.backends) if args.backends else None,
-        ps=tuple(args.ps) if args.ps else (1, 2, 4),
         max_iterations=args.max_iterations,
         max_failures=args.max_failures,
         minimize=not args.no_minimize,
@@ -73,7 +65,6 @@ def main(argv=None) -> int:
     if progress:
         progress(
             f"fuzzing algorithms={list(config.algorithms)} "
-            f"backends={list(config.backends)} p={list(config.ps)} "
             f"seed={config.seed} budget={config.seconds:.0f}s"
         )
     report = run_fuzz(config, progress=progress)

@@ -1,4 +1,4 @@
-"""Runtime fault injection: make workers raise or die on a seeded schedule.
+"""Worker-team fault injection: make workers raise or die on a seeded schedule.
 
 :class:`FaultyTeam` wraps any :class:`~repro.runtime.team.Team` and
 rewrites every ``parallel_for`` body so that, per (call, rank), a seeded
@@ -6,18 +6,19 @@ coin decides whether to run the real body or fail first:
 
 ``"raise"``
     Raise :class:`FaultInjected` inside the body.  Valid on every
-    backend; exercises error shipping, aggregation into an
+    team; exercises error shipping, aggregation into an
     ``ExceptionGroup``, and the team's reusability afterwards.
 ``"kill"``
-    ``os._exit`` the worker *process* mid-kernel — only meaningful on the
-    process backend, where it exercises dead-worker detection, pipe
-    drain, respawn, and shared-memory cleanup.  As a safety net the
-    injected body refuses to ``_exit`` when it finds itself in the main
-    process (serial backend) and raises instead.
+    ``os._exit`` the worker *process* mid-body — only meaningful on a
+    :class:`~repro.runtime.process.ProcessTeam`, where it exercises
+    dead-worker detection, pipe drain, respawn, and shared-memory
+    cleanup.  As a safety net the injected body refuses to ``_exit``
+    when it finds itself in the main process (``SerialTeam``) and
+    raises instead.
 
 Decisions are a pure function of ``(plan.seed, call_index, rank)``, so a
 failing schedule replays exactly.  The injected body and the plan are
-module-level/picklable, which the process backend requires (bodies are
+module-level/picklable, which the process team requires (bodies are
 pickled by reference, arguments by value).
 """
 
@@ -76,7 +77,7 @@ class FaultPlan:
 
 
 def _faulty_body(rank, lo, hi, plan, call_index, fn, *args):
-    """Module-level wrapper so the process backend can pickle it by name."""
+    """Module-level wrapper so the process team can pickle it by name."""
     if plan.fires(call_index, rank):
         if plan.mode == "kill":
             if mp.parent_process() is not None:
@@ -92,9 +93,9 @@ def _faulty_body(rank, lo, hi, plan, call_index, fn, *args):
 class FaultyTeam(Team):
     """Wrap ``inner`` so its bodies fail according to ``plan``.
 
-    Everything except ``parallel_for`` delegates untouched, so kernels
+    Everything except ``parallel_for`` delegates untouched, so bodies
     still allocate through the real team (shared memory on the process
-    backend).  ``calls`` counts dispatched ``parallel_for``s — the
+    team).  ``calls`` counts dispatched ``parallel_for``s — the
     call-index axis of the plan.
     """
 
@@ -102,9 +103,7 @@ class FaultyTeam(Team):
         self.inner = inner
         self.plan = plan
         self.calls = 0
-        self.name = f"faulty-{inner.name}"
         self.p = inner.p
-        self.grain = inner.grain
 
     def parallel_for(self, n, body, *args) -> None:
         call_index = self.calls

@@ -3,11 +3,9 @@
 Each iteration is fully determined by ``(config.seed, iteration)``: pick
 an instance (a named corpus entry, a seeded mutation of one, or a fresh
 random graph), sweep the differential oracle over every configured
-algorithm × backend × p, run the metamorphic relations for one algorithm
-(rotating), and periodically replay a service workload against the
-full-recompute oracle.  Real-backend teams are constructed once and
-reused across iterations (forking a process team per check would
-dominate the budget).
+algorithm, run the metamorphic relations for one algorithm (rotating),
+and periodically replay a service workload against the full-recompute
+oracle.
 
 On a divergence the failing graph is shrunk with
 :func:`repro.qa.minimize.minimize_graph` under a predicate that replays
@@ -25,13 +23,18 @@ from pathlib import Path
 import numpy as np
 
 from ..graph import Graph
-from ..runtime import make_team
 from .corpus import mutate, named_corpus, random_graph
 from .metamorphic import RELATIONS, metamorphic_check
 from .minimize import minimize_graph
-from .oracle import Divergence, check_graph, differential_check, service_replay_check
+from .oracle import (
+    Divergence,
+    check_graph,
+    default_runner,
+    differential_check,
+    service_replay_check,
+)
 
-__all__ = ["FuzzConfig", "FuzzReport", "TeamCachingRunner", "run_fuzz"]
+__all__ = ["FuzzConfig", "FuzzReport", "run_fuzz"]
 
 
 def _default_algorithms() -> tuple:
@@ -47,8 +50,6 @@ class FuzzConfig:
     seconds: float = 60.0
     seed: int = 0
     algorithms: tuple | None = None
-    backends: tuple | None = None
-    ps: tuple = (1, 2, 4)
     max_iterations: int | None = None
     max_failures: int = 5
     service_every: int = 5
@@ -59,17 +60,10 @@ class FuzzConfig:
     out_dir: str = "results/qa"
 
     def __post_init__(self):
-        from ..runtime.team import BACKEND_NAMES
-
         if self.algorithms is None:
             self.algorithms = _default_algorithms()
         else:
             self.algorithms = tuple(self.algorithms)
-        if self.backends is None:
-            self.backends = tuple(BACKEND_NAMES)
-        else:
-            self.backends = tuple(self.backends)
-        self.ps = tuple(int(p) for p in self.ps)
 
 
 @dataclass
@@ -95,35 +89,6 @@ class FuzzReport:
         )
 
 
-class TeamCachingRunner:
-    """A runner that reuses one team per (backend, p) across calls.
-
-    Raising bodies leave teams usable (that contract has its own tests),
-    so caching is safe even while chasing crashes.  Close it when done.
-    """
-
-    def __init__(self):
-        self._teams = {}
-
-    def __call__(self, g: Graph, algorithm: str, backend: str | None = None,
-                 p: int | None = None):
-        from ..api import biconnected_components
-
-        if backend in (None, "simulated"):
-            return biconnected_components(g, algorithm=algorithm)
-        key = (backend, p or 1)
-        team = self._teams.get(key)
-        if team is None:
-            team = make_team(backend, p or 1)
-            self._teams[key] = team
-        return biconnected_components(g, algorithm=algorithm, team=team)
-
-    def close(self) -> None:
-        for team in self._teams.values():
-            team.close()
-        self._teams.clear()
-
-
 def _pick_instance(rng: np.random.Generator, corpus, max_n: int):
     roll = rng.random()
     if roll < 0.25:
@@ -145,9 +110,7 @@ def _graph_json(g: Graph | None):
 def _predicate_for(div: Divergence, config: FuzzConfig, runner):
     """A deterministic 'still failing?' replay of exactly the failed check."""
     if div.check == "differential":
-        return lambda h: differential_check(
-            h, div.algorithm, backend=div.backend, p=div.p, runner=runner
-        ) is not None
+        return lambda h: differential_check(h, div.algorithm, runner=runner) is not None
     if div.check == "service":
         seed = div.extra.get("seed", 0)
         num_ops = div.extra.get("num_ops", config.service_ops)
@@ -157,8 +120,7 @@ def _predicate_for(div: Divergence, config: FuzzConfig, runner):
     mm_seed = div.extra.get("mm_seed", [0])
     return lambda h: bool(
         metamorphic_check(
-            h, div.algorithm, backend=div.backend, p=div.p,
-            runner=runner, seed=mm_seed, relations=[div.check],
+            h, div.algorithm, runner=runner, seed=mm_seed, relations=[div.check]
         )
     )
 
@@ -170,8 +132,6 @@ def _write_artifact(config: FuzzConfig, iteration: int, source: str,
     payload = {
         "check": div.check,
         "algorithm": div.algorithm,
-        "backend": div.backend,
-        "p": div.p,
         "message": div.message,
         "source": source,
         "fuzz_seed": config.seed,
@@ -192,80 +152,68 @@ def _write_artifact(config: FuzzConfig, iteration: int, source: str,
 def run_fuzz(config: FuzzConfig, runner=None, progress=None) -> FuzzReport:
     """Run the fuzz loop; never raises on findings, returns a report.
 
-    ``runner`` overrides how (graph, algorithm, backend, p) is executed —
-    the seam the planted-mutant tests use.  ``progress`` is an optional
+    ``runner`` overrides how (graph, algorithm) is executed — the seam
+    the planted-mutant tests use.  ``progress`` is an optional
     ``callable(str)`` for live status lines.
     """
     report = FuzzReport(seed=config.seed)
     corpus = named_corpus()
-    own_runner = runner is None
-    if own_runner:
-        runner = TeamCachingRunner()
-    real_backends = [b for b in config.backends if b != "simulated"]
-    diff_per_graph = len(config.algorithms) * (
-        ("simulated" in config.backends) + len(real_backends) * len(config.ps)
-    )
+    runner = runner or default_runner
     start = time.monotonic()
-    try:
-        it = 0
-        while True:
-            report.elapsed_s = time.monotonic() - start
-            if config.max_iterations is not None and it >= config.max_iterations:
-                break
-            if config.max_iterations is None and report.elapsed_s >= config.seconds:
-                break
-            if len(report.divergences) >= config.max_failures:
-                break
-            rng = np.random.default_rng((config.seed, it))
-            source, g = _pick_instance(rng, corpus, config.max_n)
-
-            divs = check_graph(
-                g, config.algorithms, config.backends, config.ps, runner=runner
-            )
-            report.checks += diff_per_graph
-
-            algorithm = config.algorithms[it % len(config.algorithms)]
-            divs += metamorphic_check(
-                g, algorithm, runner=runner, seed=(config.seed, it, 1)
-            )
-            report.checks += len(RELATIONS)
-
-            if config.service_every and it % config.service_every == 0:
-                d = service_replay_check(
-                    g, num_ops=config.service_ops, seed=config.seed + it
-                )
-                report.checks += 1
-                if d is not None:
-                    divs.append(d)
-
-            for div in divs:
-                report.divergences.append(div)
-                minimized = None
-                if config.minimize and div.graph is not None:
-                    try:
-                        minimized = minimize_graph(
-                            div.graph,
-                            _predicate_for(div, config, runner),
-                            max_checks=config.minimize_budget,
-                        )
-                    except ValueError:
-                        minimized = None  # flaky finding: keep the original
-                path = _write_artifact(config, it, source, div, minimized)
-                report.artifacts.append(path)
-                if progress:
-                    size = f", minimized to m={minimized.m}" if minimized else ""
-                    progress(f"FAIL {div.describe()}{size} -> {path}")
-
-            it += 1
-            report.iterations = it
-            if progress and it % 10 == 0:
-                progress(
-                    f"... {it} iterations, {report.checks} checks, "
-                    f"{len(report.divergences)} divergences, "
-                    f"{time.monotonic() - start:.0f}s"
-                )
-    finally:
+    it = 0
+    while True:
         report.elapsed_s = time.monotonic() - start
-        if own_runner:
-            runner.close()
+        if config.max_iterations is not None and it >= config.max_iterations:
+            break
+        if config.max_iterations is None and report.elapsed_s >= config.seconds:
+            break
+        if len(report.divergences) >= config.max_failures:
+            break
+        rng = np.random.default_rng((config.seed, it))
+        source, g = _pick_instance(rng, corpus, config.max_n)
+
+        divs = check_graph(g, config.algorithms, runner=runner)
+        report.checks += len(config.algorithms)
+
+        algorithm = config.algorithms[it % len(config.algorithms)]
+        divs += metamorphic_check(
+            g, algorithm, runner=runner, seed=(config.seed, it, 1)
+        )
+        report.checks += len(RELATIONS)
+
+        if config.service_every and it % config.service_every == 0:
+            d = service_replay_check(
+                g, num_ops=config.service_ops, seed=config.seed + it
+            )
+            report.checks += 1
+            if d is not None:
+                divs.append(d)
+
+        for div in divs:
+            report.divergences.append(div)
+            minimized = None
+            if config.minimize and div.graph is not None:
+                try:
+                    minimized = minimize_graph(
+                        div.graph,
+                        _predicate_for(div, config, runner),
+                        max_checks=config.minimize_budget,
+                    )
+                except ValueError:
+                    minimized = None  # flaky finding: keep the original
+            path = _write_artifact(config, it, source, div, minimized)
+            report.artifacts.append(path)
+            if progress:
+                size = f", minimized to m={minimized.m}" if minimized else ""
+                progress(f"FAIL {div.describe()}{size} -> {path}")
+
+        it += 1
+        report.iterations = it
+        if progress and it % 10 == 0:
+            progress(
+                f"... {it} iterations, {report.checks} checks, "
+                f"{len(report.divergences)} divergences, "
+                f"{time.monotonic() - start:.0f}s"
+            )
+    report.elapsed_s = time.monotonic() - start
     return report

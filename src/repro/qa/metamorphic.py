@@ -40,8 +40,8 @@ from .oracle import Divergence, default_runner
 __all__ = ["RELATIONS", "metamorphic_check"]
 
 
-def _labels(runner, g, algorithm, backend, p) -> np.ndarray:
-    return runner(g, algorithm, backend=backend, p=p).edge_labels
+def _labels(runner, g, algorithm) -> np.ndarray:
+    return runner(g, algorithm).edge_labels
 
 
 def _aligned(h: Graph, labels_h: np.ndarray, qu, qv) -> np.ndarray:
@@ -216,8 +216,6 @@ RELATIONS = {
 def metamorphic_check(
     g: Graph,
     algorithm: str,
-    backend: str | None = None,
-    p: int | None = None,
     runner=None,
     seed=0,
     relations=None,
@@ -238,7 +236,7 @@ def metamorphic_check(
     base = tuple(seed) if isinstance(seed, (tuple, list)) else (int(seed),)
 
     def run(graph):
-        return _labels(runner, graph, algorithm, backend, p)
+        return _labels(runner, graph, algorithm)
 
     found: list[Divergence] = []
     for name in names:
@@ -251,7 +249,7 @@ def metamorphic_check(
             msg = f"crashed: {type(exc).__name__}: {exc}"
             found.append(
                 Divergence(
-                    name, msg, algorithm=algorithm, backend=backend, p=p, graph=g,
+                    name, msg, algorithm=algorithm, graph=g,
                     extra={
                         "mm_seed": list(base),
                         "traceback": traceback.format_exc(limit=8),
@@ -262,7 +260,7 @@ def metamorphic_check(
         if msg is not None:
             found.append(
                 Divergence(
-                    name, msg, algorithm=algorithm, backend=backend, p=p, graph=g,
+                    name, msg, algorithm=algorithm, graph=g,
                     extra={"mm_seed": list(base)},
                 )
             )

@@ -2,9 +2,8 @@
 
 Two kinds of cross-check live here:
 
-* :func:`differential_check` runs one registered algorithm on one
-  execution backend at one worker count and compares the canonical edge
-  labels (:func:`repro.core.result.canonical_edge_labels`, applied by
+* :func:`differential_check` runs one registered algorithm and compares
+  the canonical edge labels (:func:`repro.core.result.canonical_edge_labels`, applied by
   ``BCCResult`` itself) against sequential Hopcroft–Tarjan.  Canonical
   labels over the canonical edge order make "same partition" a plain
   array equality — labeling nondeterminism (Liu & Tarjan) cannot hide.
@@ -44,23 +43,16 @@ class Divergence:
     check: str  # "differential" | "service" | a metamorphic relation name
     message: str
     algorithm: str | None = None
-    backend: str | None = None
-    p: int | None = None
     graph: Graph | None = None
     extra: dict = field(default_factory=dict)
 
     def describe(self) -> str:
         where = self.algorithm or "?"
-        if self.backend:
-            where += f"/{self.backend}"
-        if self.p:
-            where += f"/p={self.p}"
         g = f" on n={self.graph.n} m={self.graph.m}" if self.graph is not None else ""
         return f"[{self.check}] {where}{g}: {self.message}"
 
 
-def default_runner(g: Graph, algorithm: str, backend: str | None = None,
-                   p: int | None = None):
+def default_runner(g: Graph, algorithm: str):
     """The production entry point; the fuzzer's injectable seam.
 
     Tests substitute a *mutant* runner here to prove the harness catches
@@ -68,7 +60,7 @@ def default_runner(g: Graph, algorithm: str, backend: str | None = None,
     """
     from ..api import biconnected_components
 
-    return biconnected_components(g, algorithm=algorithm, backend=backend, p=p)
+    return biconnected_components(g, algorithm=algorithm)
 
 
 def reference_labels(g: Graph) -> np.ndarray:
@@ -79,29 +71,25 @@ def reference_labels(g: Graph) -> np.ndarray:
 def differential_check(
     g: Graph,
     algorithm: str,
-    backend: str | None = None,
-    p: int | None = None,
     runner=None,
     reference: np.ndarray | None = None,
 ) -> Divergence | None:
-    """Compare one algorithm × backend × p against sequential Tarjan.
+    """Compare one algorithm against sequential Tarjan.
 
-    ``reference`` lets callers amortize the Tarjan run over many configs
-    on the same graph.  A crash in the run under test is reported as a
+    ``reference`` lets callers amortize the Tarjan run over many
+    algorithms on the same graph.  A crash in the run under test is reported as a
     divergence, not raised.
     """
     runner = runner or default_runner
     if reference is None:
         reference = reference_labels(g)
     try:
-        res = runner(g, algorithm, backend=backend, p=p)
+        res = runner(g, algorithm)
     except Exception as exc:  # noqa: BLE001 - crashes are findings
         return Divergence(
             "differential",
             f"crashed: {type(exc).__name__}: {exc}",
             algorithm=algorithm,
-            backend=backend,
-            p=p,
             graph=g,
             extra={"traceback": traceback.format_exc(limit=8)},
         )
@@ -115,36 +103,19 @@ def differential_check(
             f"({int(np.max(res.edge_labels, initial=-1)) + 1} vs "
             f"{int(np.max(reference, initial=-1)) + 1} blocks)",
             algorithm=algorithm,
-            backend=backend,
-            p=p,
             graph=g,
         )
     return None
 
 
-def check_graph(
-    g: Graph,
-    algorithms,
-    backends=("simulated",),
-    ps=(1,),
-    runner=None,
-) -> list[Divergence]:
-    """Differential sweep of one graph over algorithm × backend × p.
-
-    The simulated backend ignores ``p`` (the cost model prices, it does
-    not execute), so it is checked once per algorithm.
-    """
+def check_graph(g: Graph, algorithms, runner=None) -> list[Divergence]:
+    """Differential sweep of one graph over ``algorithms``."""
     reference = reference_labels(g)
     found: list[Divergence] = []
     for algorithm in algorithms:
-        for backend in backends:
-            for p in (ps if backend != "simulated" else (None,)):
-                d = differential_check(
-                    g, algorithm, backend=backend, p=p,
-                    runner=runner, reference=reference,
-                )
-                if d is not None:
-                    found.append(d)
+        d = differential_check(g, algorithm, runner=runner, reference=reference)
+        if d is not None:
+            found.append(d)
     return found
 
 

@@ -1,50 +1,28 @@
-"""Pluggable execution runtime: one backend interface for the whole pipeline.
+"""Worker teams: the cluster's shard transport.
 
-The paper's experiments run on a real SMP (POSIX threads + software
-barriers on a Sun E4500).  This package runs the same block-partitioned
-kernels on one substrate with three backends:
+A :class:`Team` runs ``body(rank, lo, hi, *args)`` over a block
+distribution of a range, fork–join, with an implicit barrier at the join:
 
-========== ===================================================== ==========
-backend    execution                                             speedup
-========== ===================================================== ==========
-simulated  vectorized numpy, cost model only (no team)           modeled
-serial     the kernels, one in-process worker, rank order        none
-processes  worker processes on ``multiprocessing.shared_memory`` real
-========== ===================================================== ==========
+=========== ================================================= ==============
+team        execution                                         shared memory
+=========== ================================================= ==============
+SerialTeam  one in-process worker, blocks in rank order       caller's arrays
+ProcessTeam persistent worker processes                       ``multiprocessing.shared_memory``
+=========== ================================================= ==============
 
-All three produce bit-identical results; see :mod:`repro.runtime.kernels`
-for why.  The active team is published via :func:`active_team` so deeply
-nested primitives can dispatch without signature changes.
+:class:`repro.cluster.ProcessBackend` hosts one shard engine per
+``ProcessTeam`` worker, and :class:`repro.qa.FaultyTeam` wraps either team
+to inject worker faults.  Every biconnected-components computation runs
+the vectorized primitives; parallel speedup is modelled by
+:class:`repro.smp.Machine`, not measured here.
 """
 
-from .context import active_team, current_team
 from .process import ProcessTeam
-from .team import BACKEND_NAMES, BACKENDS, SerialTeam, Team, block_range, make_team
-
-#: kernels are re-exported lazily: they depend on repro.primitives (for
-#: the shared result classes), and the primitives import
-#: repro.runtime.context — an eager import here would close that cycle.
-_LAZY_KERNELS = ("prefix_scan", "shiloach_vishkin", "bfs_forest")
-
-
-def __getattr__(name):
-    if name in _LAZY_KERNELS:
-        from . import kernels
-
-        return getattr(kernels, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from .team import SerialTeam, Team, block_range
 
 __all__ = [
     "Team",
     "SerialTeam",
     "ProcessTeam",
-    "BACKENDS",
-    "BACKEND_NAMES",
-    "make_team",
     "block_range",
-    "active_team",
-    "current_team",
-    "prefix_scan",
-    "shiloach_vishkin",
-    "bfs_forest",
 ]

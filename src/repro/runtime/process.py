@@ -1,11 +1,10 @@
 """Process-backed team on ``multiprocessing.shared_memory``.
 
-This is the backend that actually escapes the GIL: a persistent team of
-worker *processes*, one per simulated E4500 processor, operating on numpy
-arrays placed in POSIX shared memory — workers read and write the same
-physical pages as the parent, so a ``parallel_for`` ships only a tiny
-pickled message (function reference + scalars + segment names), never
-array data.
+A persistent team of worker *processes* that escapes the GIL, operating
+on numpy arrays placed in POSIX shared memory — workers read and write
+the same physical pages as the parent, so a ``parallel_for`` ships only
+a tiny pickled message (function reference + scalars + segment names),
+never array data.
 
 Wire protocol (one duplex :func:`multiprocessing.Pipe` per worker)::
 
@@ -31,7 +30,7 @@ arguments are passed as :class:`_ShmRef` name markers that each worker
 resolves — and caches — by attaching to the named segment.  Arrays *not*
 allocated through the team are pickled by value: fine for small read-only
 broadcast data (e.g. a p-element offsets vector), but writes to them do
-not propagate, so kernels allocate every output through
+not propagate, so bodies allocate every output through
 ``team.empty/zeros/full/share``.
 
 Workers call :func:`gc.freeze` as soon as they start.  A forked worker
@@ -69,7 +68,7 @@ from typing import Callable, Dict, Iterable, Tuple
 
 import numpy as np
 
-from .team import Team, _default_grain, block_range, raise_aggregate
+from .team import Team, block_range, raise_aggregate
 
 __all__ = ["ProcessTeam"]
 
@@ -190,13 +189,10 @@ def _worker_main(rank: int, p: int, conn) -> None:
 class ProcessTeam(Team):
     """A persistent fork–join team of worker processes (see module doc)."""
 
-    name = "processes"
-
-    def __init__(self, p: int, *, grain: int | None = None, start_method: str | None = None):
+    def __init__(self, p: int, *, start_method: str | None = None):
         if p < 1:
             raise ValueError("need at least one worker")
         self.p = p
-        self.grain = _default_grain(32768) if grain is None else grain
         method = start_method or os.environ.get("REPRO_RUNTIME_START")
         if method is None:
             method = "fork" if "fork" in mp.get_all_start_methods() else None

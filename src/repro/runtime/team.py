@@ -1,50 +1,30 @@
-"""The backend-pluggable execution substrate: the ``Team`` interface.
-
-The paper runs every algorithm on a persistent team of POSIX threads with
-software barriers on a Sun E4500.  This module defines the abstract
-contract a team of workers must satisfy so the same kernel code
-(:mod:`repro.runtime.kernels`) runs on any backend:
+"""The fork–join worker-team interface: ``Team`` and ``SerialTeam``.
 
 ``parallel_for(n, body, *args)``
     Fork–join execution of ``body(rank, lo, hi, *args)`` over a block
-    distribution of ``range(n)``, with an implicit software barrier at
-    the join.  The block split is the same one the cost model assumes
-    (``divmod``-balanced contiguous ranges), so the decomposition being
-    priced and the decomposition being executed are one and the same.
+    distribution of ``range(n)``, with an implicit barrier at the join.
+    The block split is the one the cost model assumes (``divmod``-balanced
+    contiguous ranges).
 
 Array management (``share`` / ``empty`` / ``zeros`` / ``full`` /
 ``release``)
-    Kernels allocate their shared state through the team so the process
-    backend can place it in :mod:`multiprocessing.shared_memory` while the
-    in-process backends hand back ordinary numpy arrays.  In-process
+    Bodies allocate their shared state through the team so the process
+    team can place it in :mod:`multiprocessing.shared_memory` while the
+    in-process team hands back ordinary numpy arrays.  In-process
     implementations are zero-cost no-ops.
-
-``grain``
-    The minimum problem size for which dispatching a vectorized primitive
-    to this team's kernel pays off.  Primitives consult it through
-    :func:`repro.runtime.current_team`, so tiny inner loops (e.g. the
-    p-element block-sum scan) stay vectorized even under a real backend.
-
-Backends are registered in :data:`BACKENDS` and constructed with
-:func:`make_team`; ``"simulated"`` is deliberately absent — it is the
-no-team default handled by the pipeline itself.
 """
 
 from __future__ import annotations
 
 import builtins
-import os
 import time
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 __all__ = [
     "Team",
     "SerialTeam",
-    "BACKENDS",
-    "BACKEND_NAMES",
-    "make_team",
     "block_range",
     "raise_aggregate",
 ]
@@ -85,32 +65,18 @@ def raise_aggregate(errors: list) -> None:
     raise root
 
 
-def _default_grain(env_default: int) -> int:
-    raw = os.environ.get("REPRO_RUNTIME_GRAIN")
-    if raw is None:
-        return env_default
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return env_default
-
-
 class Team:
     """Abstract fork–join worker team (see module docstring).
 
-    Subclasses must set ``p`` and ``name`` and implement
-    :meth:`parallel_for` and :meth:`close`.  The array-management defaults
-    are correct for any backend whose workers share the caller's address
-    space.
+    Subclasses must set ``p`` and implement :meth:`parallel_for` and
+    :meth:`close`.  The array-management defaults are correct for any
+    team whose workers share the caller's address space.
     """
 
-    name: str = "abstract"
     p: int = 1
-    grain: int = 1
 
     #: Optional :class:`repro.obs.Telemetry` the team reports to.  When
-    #: set (the pipeline attaches the machine's telemetry on real
-    #: backends), each ``parallel_for`` emits one worker span per rank
+    #: set, each ``parallel_for`` emits one worker span per rank
     #: that executed a non-empty block, attributed under the span that
     #: dispatched the loop.
     telemetry = None
@@ -157,19 +123,14 @@ class Team:
 class SerialTeam(Team):
     """One in-process worker executing blocks in rank order.
 
-    The degenerate backend: the same kernels, block splits, and barrier
-    structure as the parallel teams, just executed sequentially.  Its
-    ``grain`` is 0 so every dispatchable primitive exercises the kernel
-    path — this is the backend the bit-identity tests lean on.
+    The degenerate team: the same block splits and barrier structure as
+    :class:`~repro.runtime.process.ProcessTeam`, executed sequentially.
     """
 
-    name = "serial"
-
-    def __init__(self, p: int = 1, *, grain: int | None = None):
+    def __init__(self, p: int = 1):
         if p < 1:
             raise ValueError("need at least one worker")
         self.p = p
-        self.grain = _default_grain(0) if grain is None else grain
 
     def parallel_for(self, n: int, body: Callable, *args) -> None:
         tel = self.telemetry
@@ -194,38 +155,3 @@ class SerialTeam(Team):
 
     def close(self) -> None:
         pass
-
-
-# --------------------------------------------------------------------- #
-# registry
-
-BACKENDS: Dict[str, Callable[..., Team]] = {}
-
-
-def _register(name: str, factory: Callable[..., Team]) -> None:
-    BACKENDS[name] = factory
-
-
-_register("serial", SerialTeam)
-
-# BACKEND_NAMES is the user-facing choice list; "simulated" maps to no
-# team at all (pure cost-model execution) and is resolved by the pipeline.
-BACKEND_NAMES = ("simulated", "serial", "processes")
-
-
-def make_team(backend: str, p: int = 1, **kwargs) -> Team:
-    """Construct a team for ``backend`` (one of :data:`BACKENDS`)."""
-    # a late import keeps `import repro.runtime.team` free of process
-    # machinery; the registry self-populates on first construction.
-    if backend == "processes" and "processes" not in BACKENDS:
-        from .process import ProcessTeam
-
-        _register("processes", ProcessTeam)
-    try:
-        factory = BACKENDS[backend]
-    except KeyError:
-        raise ValueError(
-            f"unknown backend {backend!r}; expected one of "
-            f"{', '.join(sorted(set(BACKEND_NAMES) - {'simulated'}))}"
-        ) from None
-    return factory(p, **kwargs)

@@ -145,19 +145,11 @@ class BCCIndex:
         algorithm: str = "tv-filter",
         machine: Machine | None = None,
         fingerprint: str | None = None,
-        backend: str | None = None,
-        p: int | None = None,
     ) -> "BCCIndex":
-        """Run a registered algorithm on ``g`` and index the result.
-
-        ``backend``/``p`` select the execution backend and worker count
-        (see :mod:`repro.runtime`); the default runs simulated/vectorized.
-        """
+        """Run a registered algorithm on ``g`` and index the result."""
         from ..api import biconnected_components
 
-        result = biconnected_components(
-            g, algorithm=algorithm, machine=machine, backend=backend, p=p
-        )
+        result = biconnected_components(g, algorithm=algorithm, machine=machine)
         return cls(result, fingerprint=fingerprint, source="build")
 
     @classmethod

@@ -1,18 +1,17 @@
-"""Per-worker span attribution across the execution backends.
+"""Per-worker span attribution on the serial and process teams.
 
-The acceptance bar from the telemetry refactor: running with a real
-backend at p >= 2 must yield spans attributed to at least two
-distinct worker ranks, nested under whatever pipeline span was open at
-dispatch time.
+A team of p >= 2 workers must yield spans attributed to every worker
+rank that ran a block, nested under whatever span was open at dispatch
+time.
 """
 
 import numpy as np
 import pytest
 
 from repro.obs import ChromeTraceSink, Sink, Telemetry
-from repro.runtime import make_team
+from repro.runtime import ProcessTeam, SerialTeam
 
-BACKENDS = ["serial", "processes"]
+TEAMS = {"serial": SerialTeam, "processes": ProcessTeam}
 
 
 def _double(rank, lo, hi, arr):
@@ -27,12 +26,12 @@ class _WorkerRecorder(Sink):
         self.spans.append((worker, name, path, t0_ns, t1_ns))
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", sorted(TEAMS))
 def test_worker_spans_emitted_per_rank(backend):
     p = 2
     tel = Telemetry()
     rec = tel.add_sink(_WorkerRecorder())
-    with make_team(backend, p) as team:
+    with TEAMS[backend](p) as team:
         team.telemetry = tel
         arr = team.share(np.ones(64, dtype=np.int64))
         with tel.span("stage"):
@@ -46,11 +45,11 @@ def test_worker_spans_emitted_per_rank(backend):
         assert t1 >= t0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", sorted(TEAMS))
 def test_worker_spans_land_on_distinct_trace_tracks(backend):
     trace = ChromeTraceSink()
     tel = Telemetry(sinks=[trace])
-    with make_team(backend, 2) as team:
+    with TEAMS[backend](2) as team:
         team.telemetry = tel
         arr = team.share(np.zeros(64, dtype=np.int64))
         with tel.span("stage"):
@@ -62,7 +61,7 @@ def test_worker_spans_land_on_distinct_trace_tracks(backend):
 
 def test_no_spans_without_telemetry():
     rec = _WorkerRecorder()
-    with make_team("serial", 2) as team:
+    with SerialTeam(2) as team:
         assert team.telemetry is None
         arr = team.share(np.ones(32, dtype=np.int64))
         team.parallel_for(32, _double, arr)
@@ -73,7 +72,7 @@ def test_empty_rank_emits_no_span():
     # with n=1 and p=2, rank 1 has an empty block and must stay silent
     tel = Telemetry()
     rec = tel.add_sink(_WorkerRecorder())
-    with make_team("serial", 2) as team:
+    with SerialTeam(2) as team:
         team.telemetry = tel
         arr = team.share(np.ones(1, dtype=np.int64))
         team.parallel_for(1, _double, arr)

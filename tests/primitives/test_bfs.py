@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.graph import Graph, generators as gen
 from repro.graph.validate import is_bfs_tree, is_connected, is_spanning_tree
 from repro.primitives import bfs, bfs_forest
+from repro.runtime import ProcessTeam, SerialTeam
 from repro.smp import Machine, Ops
 from tests.strategies import corpus_graphs, gnm_graphs
 
@@ -130,29 +131,37 @@ def _components(g):
     return list(nx.connected_components(g.to_networkx()))
 
 
+def _forest_block(rank, lo, hi, n, u, v, parent, level):
+    """Grow the whole forest in this worker and keep its block of it."""
+    got = bfs_forest(Graph(int(n[0]), np.asarray(u), np.asarray(v)))
+    parent[lo:hi] = got.parent[lo:hi]
+    level[lo:hi] = got.level[lo:hi]
+
+
 class TestBFSForestRootOrder:
     @pytest.mark.parametrize("backend", ["serial", "processes"])
     def test_roots_are_smallest_unreached_vertices(self, backend):
-        from repro.runtime import kernels, make_team
-        from repro.smp import Machine
-
         g = _sparse_components()
         # the oracle: each tree is seeded by the smallest vertex no earlier
         # tree reached, i.e. by its component's minimum, in ascending order
         expected = sorted(min(c) for c in _components(g))
-        ref_machine = Machine(p=4)
-        ref = bfs_forest(g, machine=ref_machine)
-        assert ref.roots.tolist() == expected
-        with make_team(backend, 2) as team:
-            machine = Machine(p=4)
-            got = kernels.bfs_forest(g, team=team, machine=machine)
+        got = bfs_forest(g, machine=Machine(p=4))
         assert got.roots.tolist() == expected
-        np.testing.assert_array_equal(got.parent, ref.parent)
-        np.testing.assert_array_equal(got.level, ref.level)
-        np.testing.assert_array_equal(got.parent_edge, ref.parent_edge)
-        assert got.num_levels == ref.num_levels
-        assert (machine.report().totals.as_dict()
-                == ref_machine.report().totals.as_dict())
+        assert (got.parent[got.roots] == got.roots).all()
+        assert (got.level[got.roots] == 0).all()
+        # a forest grown inside the team's workers, as a cluster shard
+        # engine grows it, is the same forest, block for block
+        team_cls = {"serial": SerialTeam, "processes": ProcessTeam}[backend]
+        with team_cls(2) as team:
+            args = [team.share(np.asarray(a, dtype=np.int64))
+                    for a in ([g.n], g.u, g.v)]
+            parent = team.full(g.n, -2, np.int64)
+            level = team.full(g.n, -2, np.int64)
+            team.parallel_for(g.n, _forest_block, *args, parent, level)
+            np.testing.assert_array_equal(np.asarray(parent), got.parent)
+            np.testing.assert_array_equal(np.asarray(level), got.level)
+        self_parented = np.flatnonzero(got.parent == np.arange(g.n))
+        assert self_parented.tolist() == expected
 
     def test_explicit_roots_then_smallest_unreached(self):
         g = _sparse_components(n_isolated=500)

@@ -27,13 +27,11 @@ def _mutant_finish_labels(ctx, labels, ccl):
     ctx.ccl = ccl
 
 
-def _mutant_runner(g, algorithm, backend=None, p=None):
+def _mutant_runner(g, algorithm):
     # fallback_ratio=None keeps tv-filter on its filtering path even on
     # sparse graphs (the default falls back to tv-opt for m <= 4n, which
     # never executes the mutated code)
-    return biconnected_components(
-        g, algorithm=algorithm, backend=backend, p=p, fallback_ratio=None
-    )
+    return biconnected_components(g, algorithm=algorithm, fallback_ratio=None)
 
 
 class TestCleanFuzz:
@@ -41,8 +39,6 @@ class TestCleanFuzz:
         config = FuzzConfig(
             seconds=30,
             seed=2026,
-            backends=("simulated", "serial"),
-            ps=(1, 2),
             max_iterations=8,
             out_dir=str(tmp_path),
         )
@@ -54,14 +50,14 @@ class TestCleanFuzz:
         assert not list(tmp_path.iterdir()), "no artifacts on a clean run"
 
     def test_report_summary_format(self, tmp_path):
-        config = FuzzConfig(seconds=5, seed=1, backends=("simulated",),
-                            max_iterations=2, out_dir=str(tmp_path))
+        config = FuzzConfig(seconds=5, seed=1, max_iterations=2,
+                            out_dir=str(tmp_path))
         report = run_fuzz(config)
         assert "OK" in report.summary()
         assert "seed=1" in report.summary()
 
     def test_iteration_stream_is_seeded(self, tmp_path):
-        config = dict(seconds=5, backends=("simulated",), algorithms=("tv-opt",),
+        config = dict(seconds=5, algorithms=("tv-opt",),
                       max_iterations=3, out_dir=str(tmp_path))
         r1 = run_fuzz(FuzzConfig(seed=5, **config))
         r2 = run_fuzz(FuzzConfig(seed=5, **config))
@@ -76,7 +72,6 @@ class TestPlantedMutant:
             seconds=60,
             seed=0,
             algorithms=("tv-filter",),
-            backends=("simulated",),
             max_iterations=40,
             max_failures=1,
             minimize_budget=600,
@@ -131,14 +126,14 @@ class TestPlantedMutant:
 
 class TestCrashFinding:
     def test_crashing_algorithm_is_caught(self, tmp_path):
-        def crashing_runner(g, algorithm, backend=None, p=None):
+        def crashing_runner(g, algorithm):
             if g.m >= 3:
                 raise RuntimeError("planted crash")
             return biconnected_components(g, algorithm=algorithm)
 
         config = FuzzConfig(
             seconds=10, seed=1, algorithms=("tv-filter",),
-            backends=("simulated",), max_iterations=5, max_failures=1,
+            max_iterations=5, max_failures=1,
             minimize_budget=100, service_every=0, out_dir=str(tmp_path),
         )
         report = run_fuzz(config, runner=crashing_runner)

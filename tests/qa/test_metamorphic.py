@@ -38,7 +38,7 @@ class TestRelationsTrip:
         # planted bug: any two blocks merged into one whenever there are
         # several — breaks bridge-subdivision (+1 block) and disjoint-union
         # (counts add) immediately
-        def merging_runner(h, algorithm, backend=None, p=None):
+        def merging_runner(h, algorithm):
             res = tarjan_bcc(h)
             labels = res.edge_labels.copy()
             if labels.size and labels.max() >= 1:
@@ -53,7 +53,7 @@ class TestRelationsTrip:
     def test_vertex_id_dependence_trips_relabel(self):
         # planted bug: edges incident to vertex 0 are forced into block 0 —
         # an answer that depends on vertex ids cannot survive relabeling
-        def id_dependent_runner(h, algorithm, backend=None, p=None):
+        def id_dependent_runner(h, algorithm):
             res = tarjan_bcc(h)
             labels = res.edge_labels.copy()
             if labels.size:
@@ -68,7 +68,7 @@ class TestRelationsTrip:
     def test_crash_reported_as_divergence(self):
         calls = {"n": 0}
 
-        def crash_on_second(h, algorithm, backend=None, p=None):
+        def crash_on_second(h, algorithm):
             calls["n"] += 1
             if calls["n"] > 1:
                 raise RuntimeError("boom on transformed graph")

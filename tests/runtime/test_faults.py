@@ -1,4 +1,4 @@
-"""Fault injection against real backends: raise, kill, recover, no leaks.
+"""Fault injection against worker teams: raise, kill, recover, no leaks.
 
 These tests drive :class:`repro.qa.faults.FaultyTeam` against the serial
 and process teams and assert the hardened failure contract:
@@ -6,7 +6,7 @@ and process teams and assert the hardened failure contract:
 * every failing rank's exception survives aggregation (``ExceptionGroup``),
 * a killed worker process is detected, reported with its exit code, and
   respawned,
-* shared-memory segments never leak — not even across a mid-kernel death,
+* shared-memory segments never leak — not even across a mid-body death,
 * the team stays usable after any of the above.
 """
 
@@ -18,9 +18,6 @@ import textwrap
 import numpy as np
 import pytest
 
-from repro.api import biconnected_components
-from repro.core.tarjan import tarjan_bcc
-from repro.graph import generators as gen
 from repro.qa.faults import KILL_EXIT_CODE, FaultInjected, FaultPlan, FaultyTeam
 from repro.runtime.process import ProcessTeam
 from repro.runtime.team import SerialTeam
@@ -36,6 +33,10 @@ def _fill_rank(rank, lo, hi, out):
 
 def _die(rank, lo, hi):
     os._exit(KILL_EXIT_CODE)
+
+
+def _accumulate(rank, lo, hi, out, src):
+    out[lo:hi] += src[lo:hi]
 
 
 class TestFaultPlan:
@@ -159,25 +160,34 @@ class TestKillMode:
             inner.parallel_for(8, _noop)  # both respawned
 
 
-class TestPipelineUnderFaults:
-    def test_pipeline_fails_loudly_then_recovers(self):
-        g = gen.random_connected_gnm(40, 100, seed=3)
-        ref = tarjan_bcc(g)
-        with ProcessTeam(2, grain=0) as inner:
-            faulty = FaultyTeam(inner, FaultPlan(mode="kill", ranks=(0,), after_call=2))
-            with pytest.raises((RuntimeError, ExceptionGroup)):
-                biconnected_components(g, algorithm="tv-smp", team=faulty)
-            # the same inner team then computes a correct answer
-            res = biconnected_components(g, algorithm="tv-smp", team=inner)
-            assert res.same_partition(ref)
+class TestSharedArraysUnderFaults:
+    """A worker dies mid-run, after earlier calls wrote shared arrays."""
 
-    def test_no_segments_leaked_after_faulty_pipeline(self):
-        g = gen.random_connected_gnm(30, 80, seed=5)
-        with ProcessTeam(2, grain=0) as inner:
-            faulty = FaultyTeam(inner, FaultPlan(mode="kill", ranks=(1,), after_call=1))
-            with pytest.raises((RuntimeError, ExceptionGroup)):
-                biconnected_components(g, algorithm="tv-opt", team=faulty)
-            biconnected_components(g, algorithm="tv-opt", team=inner)
+    def _run(self, inner, faulty, out, src):
+        # calls 0 and 1 run clean; the plan kills a worker on call 2
+        faulty.parallel_for(64, _accumulate, out, src)
+        faulty.parallel_for(64, _accumulate, out, src)
+        with pytest.raises(RuntimeError, match="died unexpectedly"):
+            faulty.parallel_for(64, _accumulate, out, src)
+
+    def test_fails_loudly_then_recovers(self):
+        with ProcessTeam(2) as inner:
+            faulty = FaultyTeam(inner, FaultPlan(mode="kill", ranks=(0,), after_call=2))
+            src = inner.share(np.arange(64, dtype=np.int64))
+            out = inner.zeros(64, np.int64)
+            self._run(inner, faulty, out, src)
+            # the same inner team then computes an exact answer in place
+            out[:] = 0
+            inner.parallel_for(64, _accumulate, out, src)
+            np.testing.assert_array_equal(out, np.arange(64))
+
+    def test_no_segments_leaked_after_fault(self):
+        with ProcessTeam(2) as inner:
+            faulty = FaultyTeam(inner, FaultPlan(mode="kill", ranks=(1,), after_call=2))
+            src = inner.share(np.arange(64, dtype=np.int64))
+            out = inner.zeros(64, np.int64)
+            self._run(inner, faulty, out, src)
+            inner.parallel_for(64, _accumulate, out, src)
         assert inner._segments == {}
         assert inner._by_id == {}
 
@@ -185,22 +195,28 @@ class TestPipelineUnderFaults:
 LEAK_SCRIPT = textwrap.dedent(
     """
     import numpy as np
-    from repro.api import biconnected_components
-    from repro.graph import generators as gen
     from repro.qa.faults import FaultPlan, FaultyTeam
     from repro.runtime.process import ProcessTeam
 
-    g = gen.random_connected_gnm(40, 110, seed=9)
-    team = ProcessTeam(2, grain=0)
+    def accumulate(rank, lo, hi, out, src):
+        out[lo:hi] += src[lo:hi]
+
+    team = ProcessTeam(2)
     faulty = FaultyTeam(team, FaultPlan(mode="kill", ranks=(0,), after_call=2))
+    src = team.share(np.arange(40, dtype=np.int64))
+    out = team.zeros(40, np.int64)
     try:
-        biconnected_components(g, algorithm="tv-smp", team=faulty)
+        for _ in range(3):
+            faulty.parallel_for(40, accumulate, out, src)
     except BaseException:
         pass
-    res = biconnected_components(g, algorithm="tv-smp", team=team)
+    out[:] = 0
+    team.parallel_for(40, accumulate, out, src)
+    assert (out == np.arange(40)).all(), out
+    del out, src
     team.close()
     assert team._segments == {}, team._segments
-    print("CLEAN-EXIT", res.num_components)
+    print("CLEAN-EXIT")
     """
 )
 

@@ -1,4 +1,4 @@
-"""Team protocol tests: block splits, serial/process backends, registry."""
+"""Team protocol tests: block splits, the serial and process teams."""
 
 import gc
 
@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 
 from repro.obs import Sink, Telemetry
-from repro.runtime import (
-    BACKEND_NAMES,
-    ProcessTeam,
-    SerialTeam,
-    active_team,
-    block_range,
-    current_team,
-    make_team,
-)
+from repro.runtime import ProcessTeam, SerialTeam, block_range
 from repro.runtime.team import raise_aggregate
 
 
@@ -63,10 +55,6 @@ class TestSerialTeam:
 
             team.parallel_for(8, body)
             assert order == [0, 1, 2, 3]
-
-    def test_grain_zero_by_default(self):
-        with SerialTeam(2) as team:
-            assert team.grain == 0
 
     def test_aggregates_all_errors(self):
         with SerialTeam(3) as team:
@@ -268,36 +256,3 @@ class TestProcessTeam:
     def test_invalid_worker_count(self):
         with pytest.raises(ValueError):
             ProcessTeam(0)
-
-
-class TestRegistry:
-    def test_backend_names_cover_cli_choices(self):
-        assert BACKEND_NAMES == ("simulated", "serial", "processes")
-
-    @pytest.mark.parametrize("backend", ["serial", "processes"])
-    def test_make_team_round_trip(self, backend):
-        with make_team(backend, 2) as team:
-            assert team.name == backend
-            assert team.p == 2
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_team("gpu", 2)
-
-    def test_simulated_is_not_a_team(self):
-        # "simulated" means no team; the pipeline resolves it itself
-        with pytest.raises(ValueError):
-            make_team("simulated", 2)
-
-
-class TestActiveTeam:
-    def test_context_publishes_and_restores(self):
-        assert current_team() is None
-        with SerialTeam(2) as team:
-            with active_team(team):
-                assert current_team() is team
-            assert current_team() is None
-
-    def test_none_scope_is_noop(self):
-        with active_team(None):
-            assert current_team() is None

@@ -84,6 +84,15 @@ class TestBiconnectedComponents:
         res = biconnected_components(g, "fastbcc", connectivity="fastsv")
         assert res.same_partition(biconnected_components(g, "sequential"))
 
+    @pytest.mark.parametrize("option,value", [
+        ("backend", "serial"), ("team", object()), ("p", 2),
+    ], ids=["backend", "team", "p"])
+    @pytest.mark.parametrize("algorithm", ["tv-filter", "sequential", "auto"])
+    def test_removed_backend_options_rejected(self, algorithm, option, value):
+        # every solve runs the vectorized primitives; p belongs to the Machine
+        with pytest.raises(TypeError, match=f"'{option}'"):
+            biconnected_components(gen.cycle_graph(5), algorithm, **{option: value})
+
 
 class TestDerivedQueries:
     def test_articulation_points(self):
